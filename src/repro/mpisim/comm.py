@@ -76,10 +76,6 @@ class DomainDecomposition:
     n_ranks: int
     #: rank -> list of BlockIds
     assignment: dict[int, list] = field(default_factory=dict)
-    #: BlockId -> rank reverse map (lazily rebuilt if assignment is
-    #: constructed by hand); makes rank_of O(1) instead of an
-    #: O(ranks * blocks) scan per lookup
-    _owner: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def split(cls, grid: Grid, n_ranks: int, *,
@@ -88,9 +84,9 @@ class DomainDecomposition:
 
         With more ranks than leaves, trailing ranks would get *empty*
         shards — a real FLASH run refuses such a launch, and every
-        consumer here (``halo_bytes``, ``scaling_model``) would silently
-        iterate idle ranks.  That is therefore an error unless the
-        caller opts in with ``allow_empty=True``, in which case the
+        consumer here (``halo_traffic``, ``scaling_model``) would
+        silently iterate idle ranks.  That is therefore an error unless
+        the caller opts in with ``allow_empty=True``, in which case the
         empty-shard contract holds: every rank key exists in
         ``assignment``, empty ranks exchange zero halo bytes, and
         ``load_imbalance`` counts them in the mean.
@@ -109,29 +105,28 @@ class DomainDecomposition:
             lo = int(round(rank * per))
             hi = int(round((rank + 1) * per))
             out.assignment[rank] = leaves[lo:hi]
-        out._rebuild_owner()
         return out
 
-    def _rebuild_owner(self) -> None:
-        self._owner = {bid: rank
-                       for rank, blocks in self.assignment.items()
-                       for bid in blocks}
+    def owners(self) -> dict:
+        """BlockId -> rank, derived afresh from ``assignment``.
+
+        Callers may edit ``assignment`` by hand (move a block, grow a
+        shard), so the reverse map is never cached: callers resolving
+        many blocks take it once per pass instead.
+        """
+        return {bid: rank
+                for rank, blocks in self.assignment.items()
+                for bid in blocks}
 
     def rank_of(self, bid) -> int:
-        if len(self._owner) != sum(len(b) for b in self.assignment.values()):
-            self._rebuild_owner()
-        return self._owner[bid]
+        """The rank owning ``bid`` (``KeyError`` when unassigned)."""
+        return self.owners()[bid]
 
     def load_imbalance(self) -> float:
         """max/mean block count across ranks (1.0 = perfect)."""
         counts = np.array([len(b) for b in self.assignment.values()], float)
         mean = counts.mean()
         return float(counts.max() / mean) if mean > 0 else 1.0
-
-    def halo_bytes(self, grid: Grid, rank: int, bytes_per_face: int) -> int:
-        """Bytes rank must receive per guard-cell fill (off-rank faces)."""
-        received, _ = self.halo_traffic(grid, bytes_per_face)
-        return received[rank]
 
     def halo_traffic(self, grid: Grid,
                      bytes_per_face: int) -> tuple[list[int], list[int]]:
@@ -142,26 +137,41 @@ class DomainDecomposition:
         sum to the same total — the symmetry the fabric's accounting
         tests pin down on refined trees.
         """
-        if len(self._owner) != sum(len(b) for b in self.assignment.values()):
-            self._rebuild_owner()
+        blocks = [bid for shard in self.assignment.values() for bid in shard]
+        return self._traffic(_face_neighbors(grid.tree, blocks),
+                             bytes_per_face)
+
+    def _traffic(self, faces: dict,
+                 bytes_per_face: int) -> tuple[list[int], list[int]]:
+        """:meth:`halo_traffic` over an already-walked face table."""
+        owner = self.owners()
         received = [0] * self.n_ranks
         sent = [0] * self.n_ranks
         for rank in range(self.n_ranks):
             for bid in self.assignment[rank]:
-                for axis in range(grid.tree.ndim):
-                    for direction in (-1, 1):
-                        kind, info = grid.tree.face_neighbor(bid, axis,
-                                                             direction)
-                        if kind == "boundary":
-                            continue
-                        neighbors = info if isinstance(info, list) else [info]
-                        for nid in neighbors:
-                            owner = self._owner.get(nid)
-                            if owner != rank:
-                                received[rank] += bytes_per_face
-                                if owner is not None:
-                                    sent[owner] += bytes_per_face
+                for nid in faces[bid]:
+                    src = owner.get(nid)
+                    if src != rank:
+                        received[rank] += bytes_per_face
+                        if src is not None:
+                            sent[src] += bytes_per_face
         return received, sent
+
+
+def _face_neighbors(tree, blocks) -> dict:
+    """Block -> the ids across its non-boundary faces, one entry per
+    face pair (a coarse face abutting a refined neighbour lists each
+    touching child)."""
+    faces = {}
+    for bid in blocks:
+        nids = []
+        for axis in range(tree.ndim):
+            for direction in (-1, 1):
+                kind, info = tree.face_neighbor(bid, axis, direction)
+                if kind != "boundary":
+                    nids.extend(info if isinstance(info, list) else [info])
+        faces[bid] = nids
+    return faces
 
 
 class SimComm:
@@ -267,16 +277,17 @@ def scaling_model(grid: Grid, rank_counts: list[int], *,
     the machine — ``None`` keeps the historical one-rank-per-node curve.
     """
     cost = cost or CommCostModel()
+    # the faces depend only on the grid: walk them once, and let each
+    # rank count only re-label their owners
+    faces = _face_neighbors(grid.tree, grid.tree.leaves())
     out = {}
     for p in rank_counts:
         rpn = 1 if ranks_per_node is None else min(ranks_per_node, p)
         dd = DomainDecomposition.split(grid, p)
         per_rank_blocks = max(len(b) for b in dd.assignment.values())
         compute = per_rank_blocks * seconds_per_block_step
-        halo = max(
-            cost.p2p_time(dd.halo_bytes(grid, r, bytes_per_face), rpn)
-            for r in range(p)
-        )
+        received, _ = dd._traffic(faces, bytes_per_face)
+        halo = max(cost.p2p_time(nbytes, rpn) for nbytes in received)
         reduce_t = cost.allreduce_time(8, p, rpn)
         out[p] = steps * (compute + halo + reduce_t)
     return out

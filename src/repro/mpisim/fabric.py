@@ -212,6 +212,7 @@ class Fabric:
         (``_match_fluxes`` resolves children among the swept blocks), so a
         jump crossing shards is a configuration error, not a crash."""
         dd = self.decomposition
+        owner = dd.owners()
         for rank, blocks in dd.assignment.items():
             for bid in blocks:
                 for axis in range(grid.tree.ndim):
@@ -221,7 +222,7 @@ class Fabric:
                         if kind not in ("finer", "coarser"):
                             continue
                         others = info if isinstance(info, list) else [info]
-                        if any(dd.rank_of(nid) != rank for nid in others):
+                        if any(owner[nid] != rank for nid in others):
                             raise ConfigurationError(
                                 f"refinement jump at {bid} crosses a rank "
                                 f"boundary; choose a rank count whose "
@@ -234,6 +235,7 @@ class Fabric:
         PARAMESH's surrogate-block strategy — so the transverse guard
         slabs the corner trick reads arrive along with the interior."""
         dd = self.decomposition
+        owner = dd.owners()
         plan: list[list[_Copy]] = []
         for axis in range(grid.tree.ndim):
             copies: list[_Copy] = []
@@ -247,7 +249,7 @@ class Fabric:
                             continue
                         others = info if isinstance(info, list) else [info]
                         for nid in others:
-                            src = dd.rank_of(nid)
+                            src = owner[nid]
                             if src == rank:
                                 continue
                             key = (src, nid, rank)

@@ -538,9 +538,12 @@ class ReplaySession:
         # keys are content digests, so the accounting below is exactly
         # what sequential execution would have recorded: the first
         # requester of a unit computes it, later requesters hit the
-        # (by then warm) trace cache.  Store-backed bundles put a
-        # :class:`~repro.perfmodel.tracestore.TraceRef` in the unit —
-        # pool workers map the payload instead of unpickling it.
+        # (by then warm) trace cache.  Units bound for pool workers
+        # carry a :class:`~repro.perfmodel.tracestore.TraceRef` to a
+        # store-backed bundle — workers map the payload instead of
+        # unpickling it; inline units read the session's own mapping,
+        # already verified, instead of mapping and hashing it again.
+        by_ref = executor.jobs > 1
         stream_units: dict[object, tuple] = {}   # ukey -> work unit
         fine_units: dict[object, tuple] = {}
         plans = []
@@ -566,9 +569,9 @@ class ReplaySession:
             elif self.share and stream_ukey in stream_units:
                 self.stats.trace_hits += 1
             else:
-                stream_units[stream_ukey] = ("stream", req.engine,
-                                             req.geometry,
-                                             bundle.stream_payload())
+                stream_units[stream_ukey] = (
+                    "stream", req.engine, req.geometry,
+                    bundle.stream_payload() if by_ref else stream_traces)
                 computed = True
 
             # fine passes: independent (fresh) TLB per trace -> each
@@ -591,9 +594,10 @@ class ReplaySession:
                 else:
                     if not self.share:
                         fine_ukey = (req.engine, geo, d, i)
-                    fine_units[fine_ukey] = ("fine", req.engine,
-                                             req.geometry,
-                                             bundle.fine_payload(pos))
+                    fine_units[fine_ukey] = (
+                        "fine", req.engine, req.geometry,
+                        bundle.fine_payload(pos) if by_ref
+                        else [fine_traces[pos][1]])
                     fine_sources[d] = ("unit", fine_ukey)
                     computed = True
             if computed:

@@ -98,7 +98,8 @@ class TestDecomposition:
         grid = make_grid(nblock=8, max_level=0)
         dd = DomainDecomposition.split(grid, 4)
         face_bytes = 100
-        total_halo = sum(dd.halo_bytes(grid, r, face_bytes) for r in range(4))
+        received, _ = dd.halo_traffic(grid, face_bytes)
+        total_halo = sum(received)
         all_faces = grid.tree.n_leaves * 4 * face_bytes
         assert total_halo < 0.5 * all_faces
 
@@ -134,6 +135,21 @@ class TestDecomposition:
         extra = BlockId(7, 7, 7)
         dd.assignment[0].append(extra)
         assert dd.rank_of(extra) == 0
+
+    def test_moved_block_changes_owner(self):
+        """Moving a block between ranks keeps the total block count, so
+        owners must follow the assignment itself, not its size."""
+        grid = make_grid()
+        dd = DomainDecomposition.split(grid, 4)
+        moved = dd.assignment[0].pop()
+        dd.assignment[1].append(moved)
+        assert dd.rank_of(moved) == 1
+        fresh = DomainDecomposition(
+            n_ranks=4,
+            assignment={r: list(b) for r, b in dd.assignment.items()})
+        expected = ([400, 600, 400, 400], [400, 600, 400, 400])
+        assert fresh.halo_traffic(grid, 100) == expected
+        assert dd.halo_traffic(grid, 100) == expected
 
     def test_needs_positive_ranks(self):
         with pytest.raises(ConfigurationError):
@@ -206,6 +222,47 @@ class TestScalingModel:
         b = scaling_model(grid, [4], ranks_per_node=48, **kwargs)
         assert a[4] == pytest.approx(b[4])
 
+    @pytest.mark.parametrize("ranks_per_node", [None, 4, 48])
+    @pytest.mark.parametrize("refined", [False, True])
+    def test_matches_fresh_walk_per_rank_count(self, refined, ranks_per_node):
+        """The oracle: one face walk per curve equals, bit for bit, a
+        fresh ``halo_traffic`` walk for every rank count."""
+        if refined:
+            grid = make_grid(nblock=4, max_level=2)
+            refine_block(grid, BlockId(0, 0, 0))
+            refine_block(grid, BlockId(1, 2, 2))
+        else:
+            grid = make_grid(nblock=8, max_level=0)
+        rank_counts = [1, 2, 3, 4, 7]
+        step_s, face_bytes, steps = 1e-2, 8 * 10 * 8 * 2, 100
+        cost = CommCostModel()
+        reference = {}
+        for p in rank_counts:
+            rpn = 1 if ranks_per_node is None else min(ranks_per_node, p)
+            dd = DomainDecomposition.split(grid, p)
+            compute = max(len(b) for b in dd.assignment.values()) * step_s
+            received, _ = dd.halo_traffic(grid, face_bytes)
+            halo = max(cost.p2p_time(nbytes, rpn) for nbytes in received)
+            reduce_t = cost.allreduce_time(8, p, rpn)
+            reference[p] = (steps * (compute + halo + reduce_t)).hex()
+        times = scaling_model(grid, rank_counts, seconds_per_block_step=step_s,
+                              bytes_per_face=face_bytes, steps=steps,
+                              ranks_per_node=ranks_per_node)
+        assert {p: t.hex() for p, t in times.items()} == reference
+
+    def test_strong_scaling_curve_pinned(self):
+        """The porting study's curve, exactly as the report prints it."""
+        from repro.experiments.porting import strong_scaling
+        assert {p: t.hex() for p, t in strong_scaling().items()} == {
+            1: "0x1.5d87048f6a242p+4",
+            2: "0x1.5d8f0ee81137dp+3",
+            4: "0x1.5d99c3187c5c0p+2",
+            8: "0x1.5db7be44f1c9bp+1",
+            16: "0x1.5de4a3dec7a6dp+0",
+            32: "0x1.5e3a12a6259edp-1",
+            48: "0x1.070344e18f044p-1",
+        }
+
 
 class TestEmptyShardContract:
     def test_more_ranks_than_leaves_rejected(self):
@@ -221,8 +278,9 @@ class TestEmptyShardContract:
         assert sorted(dd.assignment) == list(range(6))
         empty = [r for r, blocks in dd.assignment.items() if not blocks]
         assert empty
+        received, _ = dd.halo_traffic(grid, 100)
         for rank in empty:
-            assert dd.halo_bytes(grid, rank, 100) == 0
+            assert received[rank] == 0
         assert dd.load_imbalance() > 1.0
 
     def test_exact_fit_needs_no_opt_in(self):
@@ -249,13 +307,6 @@ class TestHaloTraffic:
             received, sent = dd.halo_traffic(grid, 64)
             assert sum(received) == sum(sent) > 0
             assert len(received) == len(sent) == n_ranks
-
-    def test_halo_bytes_delegates_to_traffic(self):
-        grid = make_grid(nblock=4, max_level=0)
-        dd = DomainDecomposition.split(grid, 4)
-        received, _ = dd.halo_traffic(grid, 100)
-        for rank in range(4):
-            assert dd.halo_bytes(grid, rank, 100) == received[rank]
 
 
 class TestChargedTimeMonotonicity:

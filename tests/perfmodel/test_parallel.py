@@ -9,6 +9,7 @@ jobs, and under racing writers sharing one persistent store.
 
 import multiprocessing
 import os
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +19,9 @@ from repro.hw.a64fx import A64FX, XEON_E5_2683V3
 from repro.perfmodel.parallel import ReplayExecutor, resolve_jobs
 from repro.perfmodel.pipeline import PerformancePipeline, run_batch
 from repro.perfmodel.session import ReplaySession, session_scope
+from repro.perfmodel.tracestore import TraceRef
 from repro.toolchain.compiler import FUJITSU, GNU
+from repro.util import artifacts
 from repro.util.errors import ConfigurationError
 
 
@@ -169,10 +172,11 @@ class TestExecutorFallback:
 class TestTraceTier:
     """The zero-copy handoff end to end: cold runs synthesize across the
     pool and ship traces by reference; a warm trace store over a fresh
-    replay store skips synthesis entirely."""
+    replay store skips synthesis entirely; serial runs replay from the
+    session's own mapping."""
 
-    def _run(self, log, tmp_path, name, traces, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY_JOBS", "2")
+    def _run(self, log, tmp_path, name, traces, monkeypatch, jobs=2):
+        monkeypatch.setenv("REPRO_REPLAY_JOBS", str(jobs))
         session = ReplaySession(store_dir=str(tmp_path / name),
                                 trace_dir=traces)
         try:
@@ -207,6 +211,39 @@ class TestTraceTier:
         ref = [_fingerprint(r) for r in run_batch(
             _batch_pipelines(sod_log, ReplaySession.disabled()))]
         assert cold_prints == ref
+
+    def test_serial_units_read_the_session_mapping(self, tmp_path, sod_log,
+                                                   monkeypatch):
+        """Inline units replay from the bundles the session mapped and
+        verified: one checksum pass per bundle, no ``TraceRef`` hop."""
+        verified = []
+        verify = artifacts.verify_checksum
+
+        def counting_verify(path):
+            verified.append(Path(path).name)
+            return verify(path)
+
+        resolved = []
+        resolve = TraceRef.resolve
+
+        def counting_resolve(ref):
+            resolved.append(ref.key)
+            return resolve(ref)
+
+        monkeypatch.setattr(artifacts, "verify_checksum", counting_verify)
+        monkeypatch.setattr(TraceRef, "resolve", counting_resolve)
+        prints, stats, _ = self._run(
+            sod_log, tmp_path, "replays", tmp_path / "traces", monkeypatch,
+            jobs=1)
+        bundles = [name for name in verified if name.endswith(".trace")]
+        # the configs share bundles, and each bundle is verified once
+        assert 0 < stats.synthesis_count < stats.configs
+        assert len(bundles) == len(set(bundles)) == stats.synthesis_count
+        assert resolved == []
+
+        ref = [_fingerprint(r) for r in run_batch(
+            _batch_pipelines(sod_log, ReplaySession.disabled()))]
+        assert prints == ref
 
     def test_trace_cache_off_disables_the_tier(self, tmp_path, sod_log,
                                                monkeypatch):
