@@ -13,7 +13,7 @@ workload is recorded once and its memory behaviour replayed through
 default vectorized batch kernels — and ``engine="scalar"``, the
 per-access reference), demonstrating the bit-identical-counters
 contract and the fast path's wall-clock advantage on real traces (see
-docs/performance_model.md and docs/benchmarking.md).
+docs/performance_model.md).
 
 Run:  python examples/hugepages_study.py
 """

@@ -13,9 +13,9 @@ engine's TLB core; see docs/performance_model.md), asserting identical
 miss counts and reporting both wall clocks at the end.  Instructive
 read-off: on *these* adversarial uniform-random gathers the oracle is
 competitive — the batch kernels earn their several-fold pipeline
-speedup (``python -m repro.bench``) on the structured traces FLASH
-actually produces, where their guaranteed-hit prefilters dispose of
-most accesses wholesale.
+speedup (``examples/hugepages_study.py`` times both engines) on the
+structured traces FLASH actually produces, where their guaranteed-hit
+prefilters dispose of most accesses wholesale.
 
 Run:  python examples/tlb_explorer.py
 """
@@ -89,8 +89,9 @@ def main() -> None:
     print(f"(all {len(traces)} cells cross-checked: one batch "
           f"run_steady_segments call == scalar oracle; scalar "
           f"{t_scalar:.2f}s, batch {t_fast:.2f}s — random gathers are "
-          f"the batch kernels' worst case; run `python -m repro.bench` "
-          f"for their speedup on real FLASH traces)\n")
+          f"the batch kernels' worst case; run "
+          f"`python examples/hugepages_study.py` for their speedup on "
+          f"real FLASH traces)\n")
 
     print("Read-off: the 30 MiB Helmholtz table misses on nearly every")
     print("random gather with 64K pages but fits the TLB with 2M pages —")

@@ -12,8 +12,7 @@ here what the rest of the system needs to know about it:
 * its **instrumentation contract** (work kinds with per-zone work
   models, trace granularity, PAPI region) — from which the performance
   pipeline derives its fine-pass set and work pricing;
-* its **workloads** — enumerated by ``repro.experiments`` and
-  ``repro.bench``.
+* its **workloads** — enumerated by ``repro.experiments``.
 
 See ``docs/architecture.md`` for the layer map and the "how to add a
 unit" walkthrough.

@@ -10,7 +10,7 @@ view.  Downstream layers *derive* what the seed hard-coded:
   :meth:`UnitRegistry.scheduled` specs in phase order;
 * the performance pipeline derives its work models and its fine-pass set
   from :meth:`UnitRegistry.work_models` / :meth:`fine_work_kinds`;
-* experiments and benchmarks enumerate :meth:`UnitRegistry.workloads`.
+* the experiments enumerate :meth:`UnitRegistry.workloads`.
 
 Declaration modules are imported lazily on first registry use
 (:func:`load_all`), so importing any single ``repro`` module never drags
@@ -219,10 +219,6 @@ class UnitRegistry:
         load_workloads()
         return tuple(self._workloads[name]
                      for name in sorted(self._workloads))
-
-    def gated_workloads(self) -> tuple[WorkloadSpec, ...]:
-        """Workloads the committed bench baselines regression-gate."""
-        return tuple(w for w in self.workloads() if w.gate)
 
 
 #: the module-level registries every layer shares

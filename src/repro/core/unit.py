@@ -17,8 +17,8 @@ declaration vocabulary for the reproduction:
   hooks the generic :class:`~repro.driver.simulation.Simulation`
   scheduler calls in declared phase order;
 * :class:`WorkloadSpec` — one recordable workload (problem setup +
-  instrumented region), so experiments and benchmarks enumerate
-  scenarios instead of hard-coding them.
+  instrumented region), so the experiments enumerate scenarios instead
+  of hard-coding them.
 
 Specs are plain frozen data; the registries live in
 :mod:`repro.core.registry` and the declarations themselves live with
@@ -156,8 +156,7 @@ class WorkloadSpec:
     ``builder(quick=..., steps=..., use_cache=...)`` returns the recorded
     :class:`~repro.perfmodel.workrecord.WorkLog`; ``region_kinds`` are
     the work kinds the paper's instrumented region covers for this
-    problem; ``gate`` marks the workloads the committed bench baselines
-    regression-gate in CI.
+    problem.
     """
 
     name: str
@@ -168,7 +167,6 @@ class WorkloadSpec:
     paper_steps: int | None = None
     #: which paper table this workload reproduces ("table1"/"table2")
     paper_table: str | None = None
-    gate: bool = False
 
 
 __all__ = [

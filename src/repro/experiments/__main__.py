@@ -28,10 +28,9 @@ def _render_list() -> str:
     for spec in experiments():
         lines.append(f"  {spec.name:<12}{spec.description}")
     lines.append("")
-    lines.append("workloads (python -m repro.bench --problems <name>):")
+    lines.append("workloads:")
     for wl in unit_registry.workloads():
-        tag = " [baseline-gated]" if wl.gate else ""
-        lines.append(f"  {wl.name:<12}{wl.description}{tag}")
+        lines.append(f"  {wl.name:<12}{wl.description}")
     lines.append("")
     lines.append("units:")
     for unit in unit_registry.units():

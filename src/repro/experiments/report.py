@@ -15,10 +15,9 @@ from repro.perfmodel.session import ReplaySession, default_session
 
 #: configurations the quick full report prices through the session
 QUICK_REPORT_CONFIGS = 22
-#: the PR 6 cold-replay budget: at most this many distinct TLB replays
-#: may execute for the whole quick matrix (gated by
-#: tests/experiments/test_replay_sharing.py, the report bench baseline,
-#: and the serving soak harness)
+#: the cold-replay budget: at most this many distinct TLB replays may
+#: execute for the whole quick matrix (gated by
+#: tests/experiments/test_replay_sharing.py and the serving soak harness)
 QUICK_REPORT_REPLAY_BUDGET = 15
 
 

@@ -257,7 +257,7 @@ def scaling_study(*, quick: bool = False,
 
 def serial_identity(*, steps: int = 2,
                     session: ReplaySession | None = None) -> dict:
-    """The n_ranks=1 bit-identity probe the bench gates on.
+    """The n_ranks=1 bit-identity probe the scaling tests gate on.
 
     A one-rank fabric installs no ownership filter and no halo hook —
     it *is* the serial spine — so its WorkLog digest, replayed counters,

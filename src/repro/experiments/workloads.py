@@ -149,8 +149,8 @@ def sod_problem_worklog(*, steps: int = 40, quick: bool = False,
 
     Not one of the paper's instrumented problems — it exists to exercise
     the registry path for workloads beyond the paper's two (a new setup
-    lights up in ``repro.experiments list`` and ``repro.bench
-    --problems`` by registering a spec, with no harness edits)."""
+    lights up in ``repro.experiments list`` by registering a spec, with
+    no harness edits)."""
     if quick:
         steps = min(steps, 5)
 
@@ -174,8 +174,8 @@ def sod_problem_worklog(*, steps: int = 40, quick: bool = False,
 
 
 # --- workload declarations ---------------------------------------------------
-# the two instrumented problems of the paper (regression-gated by the
-# committed bench baselines) plus the sod demonstration workload
+# the two instrumented problems of the paper plus the sod demonstration
+# workload
 unit_registry.register_workload(WorkloadSpec(
     name="eos",
     description="2-d Type Iax supernova deflagration, EOS routines "
@@ -184,7 +184,6 @@ unit_registry.register_workload(WorkloadSpec(
     region_kinds=("eos",),
     paper_steps=50,
     paper_table="table1",
-    gate=True,
 ))
 unit_registry.register_workload(WorkloadSpec(
     name="hydro",
@@ -194,7 +193,6 @@ unit_registry.register_workload(WorkloadSpec(
     region_kinds=("hydro_sweep", "guardcell"),
     paper_steps=200,
     paper_table="table2",
-    gate=True,
 ))
 unit_registry.register_workload(WorkloadSpec(
     name="sod",

@@ -25,7 +25,7 @@ Replay units carry their traces either by value (a list of
 reference (a :class:`~repro.perfmodel.tracestore.TraceRef` naming
 sections of a persistent trace bundle, which the worker maps read-only
 straight from the store).  The executor meters both on
-``traces_pickled_bytes`` / ``traces_mapped_bytes`` so the bench can
+``traces_pickled_bytes`` / ``traces_mapped_bytes`` so the tests can
 gate that the zero-copy handoff actually engaged.  A third unit kind,
 ``"synth"``, runs trace synthesis itself on a worker and persists the
 bundle — the requester maps the result instead of building it.

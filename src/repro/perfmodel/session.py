@@ -22,7 +22,7 @@ A :class:`ReplaySession` amortises that matrix three ways:
 
 3. **Persistence.**  Both caches live in the corruption-safe artifact
    store (atomic writes, SHA-256 sidecars, versioned envelopes), so
-   `repro.bench`, the tests, and CI hit warm cache across processes.  A
+   the experiments, the tests, and CI hit warm cache across processes.  A
    corrupted entry is quarantined to ``*.corrupt`` and recomputed —
    never a crash, never a wrong number (keys are content hashes of the
    inputs; the payload is validated by the envelope + checksum).  The
@@ -127,8 +127,8 @@ def geometry_digest(geometry: TLBGeometry) -> str:
 
 @dataclass
 class SessionStats:
-    """Observability counters for one session (tests and bench gate on
-    these — ``replays`` is the "distinct TLB replays" number)."""
+    """Observability counters for one session (the tests gate on these
+    — ``replays`` is the "distinct TLB replays" number)."""
 
     #: replay requests priced through the session (one per pipeline run)
     configs: int = 0
@@ -186,8 +186,8 @@ class ReplaySession:
     """Shares and persists TLB replay results across configurations.
 
     ``share=False`` disables both cache levels (every config synthesises
-    and replays — the seed-equivalent behaviour, used by the bench as the
-    reference measurement); ``persist=False`` keeps results in memory
+    and replays — the seed-equivalent behaviour, the reference the tests
+    compare against); ``persist=False`` keeps results in memory
     only.  Sessions are cheap; the process-wide :func:`default_session`
     is what gives independent experiment entry points a common cache.
     """
@@ -467,7 +467,7 @@ class ReplaySession:
         One re-entrant lock serialises the session's cache mutations
         (:meth:`replay_batch`, :meth:`replay_sweep`, :meth:`memo`), so a
         multi-threaded server sharing one session keeps the exact
-        sequential accounting the bench gates on — concurrency between
+        sequential accounting the tests gate on — concurrency between
         *different* requests lives above this layer, in the serving
         singleflight, and below it, in the replay executor.
         """
@@ -479,14 +479,16 @@ class ReplaySession:
         """Replay many configurations, scheduling distinct work units.
 
         The batch first answers every request it can from the config
-        caches, then synthesises the misses (serially — synthesis reads
-        the simulated process) and *dedupes* their work across the
-        batch: one unit per distinct content-keyed stream bundle, one
-        per distinct fine trace.  Units are pure functions of their
-        inputs, so the executor may run them in any order on any number
-        of processes; results merge back by digest.  With the default
-        serial executor the whole method is step-for-step the sequence
-        of :meth:`replay` calls it replaces — counters included.
+        caches, then resolves the misses' traces through the trace tier
+        (:meth:`_resolve_syntheses`: bundle-cache hits skip synthesis,
+        and distinct misses may synthesise on the executor's pool) and
+        *dedupes* their work across the batch: one unit per distinct
+        content-keyed stream bundle, one per distinct fine trace.  Units
+        are pure functions of their inputs, so the executor may run them
+        in any order on any number of processes; results merge back by
+        digest.  With the default serial executor the whole method is
+        step-for-step the sequence of :meth:`replay` calls it replaces —
+        counters included.
 
         ``executor`` defaults to the session's own lazily-created
         :class:`~repro.perfmodel.parallel.ReplayExecutor`, whose job
@@ -977,7 +979,7 @@ def set_default_session(session: ReplaySession | None) -> None:
 @contextmanager
 def session_scope(session: ReplaySession, *,
                   close: bool = False) -> Iterator[ReplaySession]:
-    """Temporarily replace the default session (bench and tests).
+    """Temporarily replace the default session (service, soak, tests).
 
     ``close=True`` additionally shuts the session's executor pool down
     in teardown — forked replay workers must not outlive the scope that

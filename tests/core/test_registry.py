@@ -200,13 +200,8 @@ class TestScheduler:
 
 
 class TestWorkloadRegistry:
-    def test_paper_workloads_gated(self):
-        gated = {w.name for w in unit_registry.gated_workloads()}
-        assert gated == {"eos", "hydro"}
-
     def test_sod_workload_registered_ungated(self):
         spec = unit_registry.workload("sod")
-        assert not spec.gate
         assert spec.region_kinds == ("hydro_sweep", "guardcell")
 
     def test_paper_anchors_declared(self):

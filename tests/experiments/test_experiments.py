@@ -117,6 +117,14 @@ class TestFigure1:
                     continue
                 assert 0.8 < problem[key] < 1.2, key
 
+    def test_hydro_bars_near_one(self, table1, table2):
+        """Hydro's non-DTLB bars sit within 10 % of one (the EOS bars
+        may spread to 20 %)."""
+        data = figure1_data(table1, table2)
+        for key in FIGURE1_MEASURES:
+            if key != "dtlb_misses_per_s":
+                assert 0.9 < data.hydro[key] < 1.1, key
+
     def test_paper_reference_ratios(self):
         assert paper_ratios(PAPER_TABLE1)["dtlb_misses_per_s"] == pytest.approx(
             0.047, abs=0.001)
@@ -127,6 +135,30 @@ class TestFigure1:
         text = render_figure1(figure1_data(table1, table2))
         assert "FIGURE 1" in text
         assert "#" in text and "=" in text
+
+
+class TestTableSubarrayAblation:
+    """The with-HP residual DTLB rate rises with the number of hot
+    Helmholtz coefficient arrays, whose huge pages compete for the 16
+    L1 entries.  Disabled sessions: the sub-array count is not part of
+    a replay's cache key, so a shared session would answer every count
+    with the first one's replay."""
+
+    def test_residual_rate_rises_with_subarrays(self, eos_log, monkeypatch):
+        import repro.perfmodel.patterns as patterns
+        from repro.perfmodel.pipeline import PerformancePipeline
+        from repro.perfmodel.session import ReplaySession
+        from repro.toolchain.compiler import FUJITSU
+
+        rates = []
+        for nsub in (6, 12, 18):
+            monkeypatch.setattr(patterns.TraceBuilder, "N_TABLE_SUBARRAYS",
+                                nsub)
+            report = PerformancePipeline(
+                eos_log, FUJITSU, replication=2,
+                session=ReplaySession.disabled()).run()
+            rates.append(report.region("eos")["dtlb_misses_per_s"])
+        assert rates[0] < rates[1] < rates[2]
 
 
 class TestCompilerComparison:

@@ -78,7 +78,7 @@ class TestCLI:
             assert name in out
         for name in ("eos", "hydro", "sod"):
             assert name in out
-        assert "[baseline-gated]" in out
+        assert "workloads:" in out
         assert "hydrodynamics" in out
         assert "TLB" in out
 

@@ -6,6 +6,11 @@ from repro.experiments import resilience
 from repro.experiments.registry import experiment
 
 
+#: (ranks, checkpoint interval) -> steps replayed after the kill, for
+#: the quick study (6 steps, rank killed at step 4)
+QUICK_REPLAYED_STEPS = {(2, 1): 0, (2, 2): 1, (4, 1): 0, (4, 2): 1}
+
+
 @pytest.fixture(scope="module")
 def study():
     return resilience.resilience_study(quick=True, rank_counts=(2,),
@@ -38,3 +43,27 @@ class TestResilienceStudy:
     def test_registered_in_the_experiment_registry(self):
         spec = experiment("resilience")
         assert "fault tolerance" in spec.description
+
+
+class TestQuickStudyPinned:
+    """The quick study as ``python -m repro.experiments resilience
+    --quick`` runs it (2 and 4 ranks, checkpoint intervals 1 and 2)."""
+
+    @pytest.fixture(scope="class")
+    def quick(self):
+        # keep the module fixture's numbers in LAST_RUN_STATS
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(resilience, "LAST_RUN_STATS", {})
+            return resilience.resilience_study(quick=True)
+
+    def test_every_point_recovers_bit_identically(self, quick):
+        assert set(quick.points) == set(QUICK_REPLAYED_STEPS)
+        for point, p in quick.points.items():
+            assert p["faultfree_identical"] is True, point
+            assert p["recovered_identical"] is True, point
+
+    def test_recovery_accounting_is_exact(self, quick):
+        assert quick.kill_step == 4
+        for point, p in quick.points.items():
+            assert p["rank_restarts"] == 1, point
+            assert p["replayed_steps"] == QUICK_REPLAYED_STEPS[point], point

@@ -1,5 +1,7 @@
 """Tests for the rank-decomposed scaling sweep."""
 
+import hashlib
+
 import pytest
 
 from repro.experiments.porting import PortingResult
@@ -7,6 +9,31 @@ from repro.experiments.scaling import (node_contention, scaling_study,
                                        sedov_fabric_builder, serial_identity)
 from repro.perfmodel.session import ReplaySession
 from repro.toolchain.compiler import FUJITSU
+
+
+#: (mode, ranks) -> (halo bytes, modelled time_s with / without huge
+#: pages, per-rank DTLB misses with / without) of the quick sweep.
+#: Deterministic model outputs: times and misses are pinned at rtol
+#: 1e-9, halo bytes exactly.
+QUICK_POINTS = {
+    ("strong", 1): (0, (0.14147572095990166, 0.1414770502754572),
+                    ((303132.0,), (304004.0,))),
+    ("strong", 2): (368640, (0.07078037558217304, 0.07078236955550636),
+                    ((151576.0, 151580.0), (152120.0, 152888.0))),
+    ("strong", 4): (737280, (0.03544355489330875, 0.035444884208864304),
+                    ((75800.0, 75800.0, 75800.0, 75804.0),
+                     (76164.0, 76676.0, 76548.0, 76164.0))),
+    ("weak", 1): (0, (0.03536893176441985, 0.0353694683688643),
+                  ((75784.0,), (76136.0,))),
+    ("weak", 2): (184320, (0.03539669211997541, 0.0353980397288643),
+                  ((75792.0, 75792.0), (76164.0, 76676.0))),
+    ("weak", 4): (737280, (0.03544355489330875, 0.035444884208864304),
+                  ((75800.0, 75800.0, 75800.0, 75804.0),
+                   (76164.0, 76676.0, 76548.0, 76164.0))),
+}
+#: SHA-256 of the quick sweep's rendered table
+QUICK_TABLE_SHA256 = ("297703f24277342c43b1492e8f5f7a2609e0d204aa850af404af"
+                      "68e70a60a531")
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +73,43 @@ class TestScalingStudy:
     def test_efficiency_anchored_at_smallest_rank_count(self, study):
         assert study.speedup("strong", "with", 1) == 1.0
         assert study.efficiency("strong", "with", 1) == 1.0
+
+
+class TestQuickSweepPinned:
+    """The quick sweep as ``python -m repro.experiments scaling --quick``
+    runs it (1/2/4 ranks, 2 steps), held to its recorded outputs."""
+
+    @pytest.fixture(scope="class")
+    def quick(self):
+        session = ReplaySession(persist=False)
+        return (scaling_study(quick=True, session=session),
+                serial_identity(session=session))
+
+    def test_one_rank_fabric_matches_serial_spine(self, quick):
+        _, identity = quick
+        assert identity["digest_identical"]
+        assert identity["counters_identical"]
+
+    def test_points_pinned(self, quick):
+        study, _ = quick
+        assert sorted(study.strong) == sorted(study.weak) == [1, 2, 4]
+        for (mode, ranks), (halo, times, dtlb) in QUICK_POINTS.items():
+            point = getattr(study, mode)[ranks]
+            assert point["halo_bytes"] == halo
+            assert ((point["time_s"]["with"], point["time_s"]["without"])
+                    == pytest.approx(times, rel=1e-9, abs=0))
+            for regime, misses in zip(("with", "without"), dtlb):
+                assert (point["per_rank_dtlb"][regime]
+                        == pytest.approx(list(misses), rel=1e-9, abs=0))
+
+    def test_contention_degrades_ranks_2_and_3(self, quick):
+        study, _ = quick
+        assert study.contention["degraded"] == [2, 3]
+
+    def test_table_text_pinned(self, quick):
+        study, _ = quick
+        text = study.render()
+        assert hashlib.sha256(text.encode()).hexdigest() == QUICK_TABLE_SHA256
 
 
 class TestNodeContention:

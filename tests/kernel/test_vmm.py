@@ -139,6 +139,28 @@ class TestTHPPromotion:
         s.touch_range(vma, 0, vma.length)
         assert vma.thp_bytes >= 96 * MiB
 
+    def test_page_geometry_ablation_through_the_toolchain(self):
+        """The same GNU-compiled FLASH launch with THP always on: no huge
+        pages on the 64 KiB-granule node, huge pages via plain THP on an
+        x86-64 4 KiB/2 MiB kernel — no Fujitsu runtime needed."""
+        from repro.toolchain.compiler import GNU
+
+        results = {}
+        for name, config in (
+            ("aarch64-64k", ookami_config(thp_mode=THPMode.ALWAYS)),
+            ("x86_64-4k", KernelConfig(
+                geometry=X86_64_4K,
+                boot=BootParams(hugepagesz=(2 * MiB,),
+                                default_hugepagesz=2 * MiB),
+                thp_mode=THPMode.ALWAYS)),
+        ):
+            proc = GNU.compile("flash4").launch(Kernel(config))
+            proc.allocate(96 * MiB, "unk")
+            proc.first_touch("unk")
+            results[name] = proc.uses_huge_pages()
+        assert results["aarch64-64k"] is False  # the paper's observation
+        assert results["x86_64-4k"] is True  # the ablation: mystery gone
+
     def test_thp_never_blocks_promotion(self):
         k = Kernel(ookami_config(thp_mode=THPMode.NEVER))
         s = k.new_address_space()

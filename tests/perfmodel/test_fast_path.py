@@ -9,13 +9,15 @@ Three layers of the equivalence contract:
 * ``FastTraceBuilder`` against ``TraceBuilder``, element for element,
   for every unit kind;
 * whole-pipeline replays under both engines, asserting bit-identical
-  counter totals.
+  counter totals — on a small Sod log, and on the paper's two quick
+  workloads with their totals pinned to the last recorded values.
 """
 
 import numpy as np
 import pytest
 
 import repro.hw.tlb as tlb_mod
+from repro.core import unit_registry
 from repro.driver.config import RuntimeParameters
 from repro.driver.simulation import Simulation
 from repro.hw.a64fx import A64FX, TLBGeometry, TLBLevelSpec
@@ -27,6 +29,7 @@ from repro.mesh.tree import AMRTree
 from repro.perfmodel.fastpath import FastTraceBuilder
 from repro.perfmodel.patterns import TraceBuilder
 from repro.perfmodel.pipeline import PerformancePipeline, resolve_engine
+from repro.perfmodel.session import ReplaySession
 from repro.perfmodel.workrecord import UnitInvocation, WorkLog
 from repro.physics.eos import GammaLawEOS
 from repro.util.errors import ConfigurationError
@@ -226,6 +229,76 @@ class TestEngineEquivalence:
         fast = PerformancePipeline(small_log, GNU, engine="fast").run()
         scalar = PerformancePipeline(small_log, GNU, engine="scalar").run()
         assert fast.as_counterbank().totals == scalar.as_counterbank().totals
+
+
+_EVENTS = ("PAPI_TOT_CYC", "PAPI_TLB_DM", "SVE_INST_RETIRED", "MEM_BYTES",
+           "PAPI_FP_OPS")
+
+#: (workload, replication, flags) -> (counter totals in ``_EVENTS``
+#: order, (L1, L2) DTLB misses) of the quick paper workloads under the
+#: Fujitsu compiler.  Deterministic model outputs: a change here is a
+#: model change and must be made on purpose.
+PINNED_COUNTERS = {
+    ("eos", 2, ()): (
+        (1538320151.5185091, 1239864.0, 515109321.3913045, 6621761152.0,
+         1062114992.4), (1239864, 0)),
+    ("eos", 2, ("-Knolargepage",)): (
+        (1576651479.5185094, 16885304.0, 515109321.3913045, 6621761152.0,
+         1062114992.4), (16885304, 0)),
+    ("eos", 4, ()): (
+        (3073372190.248447, 2437112.0, 1030218642.782609, 13176413440.0,
+         2124229984.8), (2437112, 0)),
+    ("eos", 4, ("-Knolargepage",)): (
+        (3150009786.2484474, 33714472.0, 1030218642.782609, 13176413440.0,
+         2124229984.8), (33714472, 256)),
+    ("hydro", 2, ()): (
+        (12761892854.241106, 5718540.0, 1554058017.391305, 84226867200.0,
+         8800174080.0), (5718540, 0)),
+    ("hydro", 2, ("-Knolargepage",)): (
+        (12794370939.741106, 16619730.0, 1554058017.391305, 84226867200.0,
+         8800174080.0), (16619730, 183180)),
+    ("hydro", 4, ()): (
+        (25523810278.482212, 11437080.0, 3108116034.78261, 168453734400.0,
+         17600348160.0), (11437080, 780)),
+    ("hydro", 4, ("-Knolargepage",)): (
+        (25588729594.482212, 33239460.0, 3108116034.78261, 168453734400.0,
+         17600348160.0), (33239460, 365970)),
+}
+
+
+class TestPaperWorkloadCounters:
+    """The paper's quick workloads, with and without huge pages, at two
+    mesh replications: each prices on the fast engine with no
+    degradation, equals the scalar oracle exactly, and reproduces the
+    pinned totals.  Disabled sessions keep each replay self-contained,
+    so the scalar run synthesises its own traces too."""
+
+    @pytest.mark.parametrize(
+        "problem,replication,flags",
+        [pytest.param(*key, id=f"{key[0]}-r{key[1]}-"
+                      + ("nolargepage" if key[2] else "default"))
+         for key in PINNED_COUNTERS])
+    def test_counters_pinned_and_engine_independent(self, problem,
+                                                    replication, flags):
+        log = unit_registry.workload(problem).builder(quick=True)
+        out = {}
+        for engine in ("fast", "scalar"):
+            report = PerformancePipeline(
+                log, FUJITSU, flags=flags, replication=replication,
+                engine=engine, session=ReplaySession.disabled()).run()
+            assert report.engine == engine
+            assert report.degradations == {}
+            totals = report.as_counterbank().totals
+            out[engine] = (
+                {event.value: total for event, total in totals.items()},
+                (sum(t.tlb.l1_misses for t in report.units.values()),
+                 sum(t.tlb.l2_misses for t in report.units.values())))
+        assert out["fast"] == out["scalar"]
+        counters, dtlb = out["fast"]
+        pinned, pinned_dtlb = PINNED_COUNTERS[problem, replication, flags]
+        assert counters == pytest.approx(dict(zip(_EVENTS, pinned)),
+                                         rel=1e-9, abs=0)
+        assert dtlb == pinned_dtlb
 
 
 class TestEngineSelection:

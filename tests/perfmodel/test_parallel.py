@@ -136,6 +136,65 @@ class TestBitIdentity:
         assert prints[0] == prints[1]
 
 
+class TestGeometryBatch:
+    """The ``geometry`` experiment's L1 sweep on the quick EOS log: one
+    batched pass equals one pipeline per geometry, in a tenth of the
+    kernel calls."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        """Fingerprints and kernel-call counts of the batched sweep and
+        of one pipeline per geometry, on inline units (every kernel call
+        runs in this process)."""
+        from dataclasses import replace
+
+        import repro.perfmodel.session as session_mod
+        from repro.experiments.geometry import sweep_geometries
+        from repro.experiments.workloads import eos_problem_worklog
+
+        log = eos_problem_worklog(quick=True)
+        geometries = sweep_geometries()
+        calls = {"multi": 0, "single": 0}
+
+        def counted(name, kernel):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return kernel(*args, **kwargs)
+            return wrapper
+
+        out = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_REPLAY_JOBS", "1")
+            mp.setattr(session_mod, "run_steady_segments_multi",
+                       counted("multi",
+                               session_mod.run_steady_segments_multi))
+            mp.setattr(session_mod, "run_steady_segments",
+                       counted("single", session_mod.run_steady_segments))
+            reports = PerformancePipeline(
+                log, FUJITSU, replication=1, engine="fast",
+                session=ReplaySession.disabled()).run_geometries(geometries)
+            out["batched"] = ([_fingerprint(r) for r in reports],
+                              dict(calls))
+            calls.update(multi=0, single=0)
+            reports = [PerformancePipeline(
+                log, FUJITSU, replication=1, engine="fast",
+                machine=replace(A64FX, tlb=geo),
+                session=ReplaySession.disabled()).run() for geo in geometries]
+            out["per_geometry"] = ([_fingerprint(r) for r in reports],
+                                   dict(calls))
+        return out
+
+    def test_batched_sweep_matches_per_geometry(self, sweep):
+        assert sweep["batched"][0] == sweep["per_geometry"][0]
+
+    def test_batched_sweep_kernel_calls(self, sweep):
+        """One stream pass and one fine pass for the whole sweep; one
+        pipeline per geometry makes a stream call plus one call per
+        distinct fine trace, for each geometry."""
+        assert sweep["batched"][1] == {"multi": 2, "single": 0}
+        assert sweep["per_geometry"][1] == {"multi": 0, "single": 20}
+
+
 class TestExecutorFallback:
     """Pool-level damage degrades to inline execution, never to a loss."""
 
