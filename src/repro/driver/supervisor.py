@@ -118,6 +118,9 @@ class RunReport:
     degradations: dict[str, int] = field(default_factory=dict)
     #: rank threads killed and respawned by the fabric's recovery loop
     rank_restarts: int = 0
+    #: completed steps rolled back by coordinated recoveries, summed —
+    #: the work the run did twice
+    replayed_steps: int = 0
     #: wall seconds spent inside coordinated recoveries (restore +
     #: respawn), summed — the run's MTTR numerator
     recovery_wall_s: float = 0.0

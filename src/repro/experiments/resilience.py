@@ -126,14 +126,13 @@ def _point(n_ranks: int, interval: int, steps: int, kill_step: int,
                                        checkpoint_dir=d, rank_chaos=chaos)
         recovered_identical = _fingerprint(fabric) == reference
 
-    last_ckpt = ((kill_step - 1) // interval) * interval
     return {
         "plain_wall_s": plain_wall,
         "supervised_wall_s": supervised_wall,
         "overhead_pct": (supervised_wall - plain_wall) / plain_wall * 100.0,
         "recovery_wall_s": report.recovery_wall_s,
         "rank_restarts": report.rank_restarts,
-        "replayed_steps": (kill_step - 1) - last_ckpt,
+        "replayed_steps": report.replayed_steps,
         "faultfree_identical": faultfree_identical,
         "recovered_identical": recovered_identical,
     }

@@ -20,7 +20,7 @@ Two engines implement the same model:
   per-access event loop over ``OrderedDict`` LRU sets.  Trivially
   auditable against the hardware description, and the ground truth every
   fast-path result is property-tested against.
-* :func:`simulate_two_level` / :func:`lru_miss_mask` — the vectorized
+* :func:`run_steady_segments` / :func:`lru_miss_mask` — the vectorized
   batch kernel.  LRU is a stack algorithm, so an access hits an
   ``assoc``-way set iff fewer than ``assoc`` distinct pages of that set
   were touched since the previous access to the same page (its *stack
@@ -181,18 +181,6 @@ class TLBSimulator:
         local.l2_misses = l2_misses
         self.stats = self.stats + local
         return local
-
-    def run_steady_state(self, step_trace: PageTrace, warmup: int = 1) -> TLBStats:
-        """Replay ``step_trace`` ``warmup + 1`` times and return stats for the
-        final (steady-state) repetition only.
-
-        Simulation time steps repeat essentially the same access pattern, so
-        per-step miss counts converge after one warmup pass; callers
-        extrapolate with :meth:`TLBStats.scaled`.
-        """
-        for _ in range(warmup):
-            self.run(step_trace)
-        return self.run(step_trace)
 
 
 # --- vectorized batch engine ---------------------------------------------------------
@@ -590,73 +578,17 @@ def _lru_core(pages: np.ndarray, vpn: np.ndarray, n_sets: int,
     return _scatter(miss), _scatter(miss2)
 
 
-def simulate_two_level(
-        pages: np.ndarray, sizes: np.ndarray, geometry: TLBGeometry,
-        streams: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Batch-simulate the two-level TLB over one access stream.
-
-    Returns ``(l1_miss, l2_miss)`` boolean masks over the stream.  The L2
-    level sees only the L1-miss substream — probed (and updated) exactly
-    when the scalar loop would, so the masks match :class:`TLBSimulator`
-    access for access.
-    """
-    pages = np.asarray(pages, dtype=np.int64)
-    vpn = pages // np.asarray(sizes, dtype=np.int64)
-    l1_miss = lru_miss_mask(pages, vpn, geometry.l1.n_sets, geometry.l1.assoc,
-                            streams)
-    l2_miss = np.zeros(pages.size, dtype=bool)
-    pos = np.flatnonzero(l1_miss)
-    if pos.size:
-        l2_miss[pos] = lru_miss_mask(
-            pages[pos], vpn[pos], geometry.l2.n_sets, geometry.l2.assoc,
-            None if streams is None else streams[pos])
-    return l1_miss, l2_miss
-
-
-def run_segments(geometry: TLBGeometry, traces: list[PageTrace],
-                 streams: list[int] | None = None) -> list[TLBStats]:
-    """Replay ``traces`` back to back through one (initially cold) TLB and
-    return per-trace stats — the batch equivalent of consecutive
-    :meth:`TLBSimulator.run` calls on a shared simulator.
-
-    Warm-up passes are expressed by listing a trace more than once and
-    reading only the later segment's stats.  ``streams`` optionally gives
-    each trace a simulator id; traces with different ids replay through
-    independent (fresh) TLBs, still in one batch call.
-    """
-    if not traces:
-        return []
-    lengths = np.array([t.n_events for t in traces], dtype=np.int64)
-    if int(lengths.sum()) == 0:
-        return [TLBStats() for _ in traces]
-    pages = np.concatenate([t.page for t in traces])
-    sizes = np.concatenate([t.size for t in traces])
-    seg = np.repeat(np.arange(lengths.size), lengths)
-    stream_arr = None
-    if streams is not None:
-        stream_arr = np.repeat(np.asarray(streams, dtype=np.int64), lengths)
-    # NOTE: no seam re-deduplication — a repeat across a segment boundary
-    # is a real (always-hitting) access in the scalar replay too
-    l1_miss, l2_miss = simulate_two_level(pages, sizes, geometry, stream_arr)
-    l1_counts = np.bincount(seg[l1_miss], minlength=lengths.size)
-    l2_counts = np.bincount(seg[l2_miss], minlength=lengths.size)
-    return [TLBStats(accesses=t.n_accesses,
-                     l1_misses=int(l1_counts[i]),
-                     l2_misses=int(l2_counts[i]))
-            for i, t in enumerate(traces)]
-
-
 def run_steady_segments(geometry: TLBGeometry, traces: list[PageTrace],
                         streams: list[int] | None = None) -> list[TLBStats]:
     """Steady-state per-trace stats, processing each period only once.
 
     Equivalent to replaying every stream's whole trace sequence *twice*
-    through an initially cold TLB — one warm-up pass, one measure pass,
-    exactly :meth:`TLBSimulator.run_steady_state` with ``warmup=1`` —
-    and reporting the measure pass, but the L1 kernel runs on a single
-    copy of the events (see :func:`_lru_core`).  The L2 level replays the
-    L1-miss substreams of both passes back to back, since the warm-up
-    pass's misses warm the L2 just as they do in the scalar replay.
+    through an initially cold :class:`TLBSimulator` — one warm-up pass,
+    one measure pass — and reporting the measure pass, but the L1 kernel
+    runs on a single copy of the events (see :func:`_lru_core`).  The L2
+    level replays the L1-miss substreams of both passes back to back,
+    since the warm-up pass's misses warm the L2 just as they do in the
+    scalar replay.
     """
     if not traces:
         return []
@@ -764,5 +696,5 @@ def run_steady_segments_multi(
     return out
 
 
-__all__ = ["TLBSimulator", "TLBStats", "lru_miss_mask", "simulate_two_level",
-           "run_segments", "run_steady_segments", "run_steady_segments_multi"]
+__all__ = ["TLBSimulator", "TLBStats", "lru_miss_mask",
+           "run_steady_segments", "run_steady_segments_multi"]

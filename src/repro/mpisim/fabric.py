@@ -748,6 +748,7 @@ DegradationLog` instead of failing it.
                 restarts += 1
                 report.rank_restarts += 1
                 failed = getattr(exc, "rank", None)
+                report.replayed_steps += self.step_count - snap.step
                 self.restore(snap)
                 if failed is not None:
                     self._respawn_rank(failed, snap, chk_dir, kernel)

@@ -97,14 +97,15 @@ def _run_unit(unit: WorkUnit) -> list:
     """Execute one work unit (also the process-pool entry point).
 
     Imports locally so a forked worker resolves the session lazily; the
-    kernels themselves are the session's static methods, guaranteeing
-    the parallel path cannot drift from the serial one.  A ``"synth"``
-    unit synthesizes and persists a trace bundle (returning nothing —
-    the requester maps the store entry); replay units resolve a
+    kernels run through the session's one dispatcher
+    (:func:`~repro.perfmodel.session.replay_kernel`), guaranteeing the
+    parallel path cannot drift from the serial one.  A ``"synth"`` unit
+    synthesizes and persists a trace bundle (returning nothing — the
+    requester maps the store entry); replay units resolve a
     :class:`~repro.perfmodel.tracestore.TraceRef` payload by mapping the
     bundle read-only before running the kernel.
     """
-    from repro.perfmodel.session import ReplaySession
+    from repro.perfmodel.session import replay_kernel
     kind = unit[0]
     if kind == "synth":
         from repro.perfmodel.tracestore import TraceStore
@@ -113,12 +114,13 @@ def _run_unit(unit: WorkUnit) -> list:
         TraceStore(Path(root), thp=thp).save_bundle(key, stream, fine)
         return []
     kind, engine, geometry, payload = unit
+    if kind not in ("stream", "fine"):
+        raise ConfigurationError(f"unknown replay work unit kind {kind!r}")
     traces = payload if isinstance(payload, list) else payload.resolve()
-    if kind == "stream":
-        return ReplaySession._replay_stream(engine, geometry, traces)
-    if kind == "fine":
-        return ReplaySession._replay_fine(engine, geometry, traces)
-    raise ConfigurationError(f"unknown replay work unit kind {kind!r}")
+    # a stream unit's traces share one TLB; each fine trace has its own
+    streams = ([0] * len(traces) if kind == "stream"
+               else list(range(len(traces))))
+    return replay_kernel(engine, [geometry], traces, streams)[0]
 
 
 class ReplayExecutor:

@@ -12,6 +12,8 @@ A :class:`ReplaySession` amortises that matrix three ways:
    get one replay and N pricings.  Fine (zone-resolution) traces replay
    through *independent* TLB streams, so they deduplicate individually;
    stream traces share one TLB and deduplicate only as a whole sequence.
+   These trace-level results live in the session's memory only: every
+   later reader is answered by the config-level entry they feed.
 
 2. **Config-level result reuse.**  A full replay result (per-invocation
    :class:`~repro.hw.tlb.TLBStats` plus fine-trace scales) is keyed by
@@ -20,9 +22,10 @@ A :class:`ReplaySession` amortises that matrix three ways:
    this is what makes ``run_table``'s replication probe free on a warm
    cache, instead of a discarded full replay.
 
-3. **Persistence.**  Both caches live in the corruption-safe artifact
-   store (atomic writes, SHA-256 sidecars, versioned envelopes), so
-   the experiments, the tests, and CI hit warm cache across processes.  A
+3. **Persistence.**  Config-level results (``cfg-*``) and :meth:`memo`
+   entries (``memo-*``) live in the corruption-safe artifact store
+   (atomic writes, SHA-256 sidecars, versioned envelopes), so the
+   experiments, the tests, and CI hit warm cache across processes.  A
    corrupted entry is quarantined to ``*.corrupt`` and recomputed —
    never a crash, never a wrong number (keys are content hashes of the
    inputs; the payload is validated by the envelope + checksum).  The
@@ -37,8 +40,8 @@ A :class:`ReplaySession` amortises that matrix three ways:
    trace store lets a *new* geometry/engine over a known workload skip
    synthesis entirely, cross-process, and the mapped bundles hand
    traces to pool workers by reference instead of pickling arrays.
-   Distinct synthesis misses within a batch are themselves schedulable
-   work units, run across the replay executor's pool.
+   Distinct synthesis misses within a batch run across the replay
+   executor's pool when it has workers, and inline otherwise.
 
 The hard contract, inherited from the fast-path work: counters are
 **bit-identical** to per-config :class:`PerformancePipeline` runs on both
@@ -123,6 +126,53 @@ def geometry_digest(geometry: TLBGeometry) -> str:
     return _hexdigest(h)
 
 
+def _stream_key(engine: str, geo: str, traces: list[PageTrace]) -> str:
+    """Content key of one stream pass: the whole trace sequence through
+    one TLB, so it deduplicates only as a whole."""
+    h = hashlib.sha256()
+    h.update(f"stream/{engine}/{geo}/{len(traces)}".encode())
+    for t in traces:
+        h.update(trace_digest(t).encode())
+    return _hexdigest(h)
+
+
+# --- the replay kernel dispatcher --------------------------------------------
+
+def replay_kernel(engine: str, geometries: list[TLBGeometry],
+                  traces: list[PageTrace],
+                  streams: list[int]) -> list[list[TLBStats]]:
+    """Steady-state per-trace stats of ``traces`` under each geometry.
+
+    Every replay runs through here, inline or on a pool worker.  Traces
+    sharing a ``streams`` id replay back to back through one TLB — a
+    warm-up pass over the stream's whole sequence, then the measured
+    pass — and different ids never share TLB state.  The fast engine
+    answers several geometries with one
+    :func:`~repro.hw.tlb.run_steady_segments_multi` pass; the scalar
+    oracle warms one :class:`~repro.hw.tlb.TLBSimulator` per stream.
+    Returns one per-trace stats list per geometry, in order.
+    """
+    if engine == "fast":
+        if len(geometries) == 1:
+            return [run_steady_segments(geometries[0], traces,
+                                        streams=streams)]
+        return run_steady_segments_multi(geometries, traces, streams=streams)
+    by_stream: dict[int, list[int]] = {}
+    for k, s in enumerate(streams):
+        by_stream.setdefault(s, []).append(k)
+    out = []
+    for geometry in geometries:
+        row: list[TLBStats] = [TLBStats()] * len(traces)
+        for ks in by_stream.values():
+            sim = TLBSimulator(geometry)
+            for k in ks:
+                sim.run(traces[k])  # warm-up pass
+            for k in ks:
+                row[k] = sim.run(traces[k])
+        out.append(row)
+    return out
+
+
 # --- session -----------------------------------------------------------------
 
 @dataclass
@@ -176,10 +226,8 @@ class ReplayRequest:
     synthesize: Callable[[], tuple[list[PageTrace],
                                    list[tuple[int, PageTrace, float]]]]
     #: content key of the synthesis inputs (workload digest + layout
-    #: signature + sampling parameters; geometry- and engine-free).
-    #: ``None`` keeps the legacy behaviour: synthesis always runs in the
-    #: requester and nothing is persisted below the replay cache.
-    trace_key: str | None = None
+    #: signature + sampling parameters; geometry- and engine-free)
+    trace_key: str
 
 
 class ReplaySession:
@@ -337,118 +385,80 @@ class ReplaySession:
             return None
         return store.load_bundle(key)
 
-    def _synthesize_once(self, trace_key: str | None,
-                         synthesize: Callable) -> TraceBundle:
-        """Resolve one synthesis through the trace tier, inline.
+    def _resolve_syntheses(self, wanted: list[tuple[str, Callable]],
+                           ) -> list[TraceBundle]:
+        """Resolve each ``(trace_key, synthesize)`` pair to a trace bundle.
 
-        Bundle-cache hit (memory or store) skips synthesis and counts
-        ``trace_store_hits``; a miss synthesizes in the caller, persists
-        the bundle when the tier is active, and counts
-        ``synthesis_count``.
+        A sharing session answers what it can from its bundle memory and
+        the trace tier, then synthesizes each *distinct* miss once:
+        across the replay executor's pool when several picklable misses
+        meet a pool with workers (workers persist the bundle; the
+        requester maps it), inline otherwise, saving through the
+        session's own trace store.  Accounting is as-if-sequential: one
+        ``synthesis_count`` per distinct miss, one ``trace_store_hits``
+        per request that would have found the store warm, independent of
+        the job count.  A disabled session shares nothing, so every
+        request synthesizes.
         """
-        key = trace_key if self.share else None
-        if key is not None:
-            hit = self._bundles.get(key)
-            if hit is None:
-                store = self._trace_store()
-                if store is not None:
+        out: list[TraceBundle | None] = [None] * len(wanted)
+        store = self._trace_store()
+        waiting: dict[object, list[int]] = {}
+        tasks: dict[object, Callable] = {}
+        for i, (key, synthesize) in enumerate(wanted):
+            if self.share:
+                hit = self._bundles.get(key)
+                if hit is None and store is not None:
                     hit = store.load_bundle(key)
                     if hit is not None:
                         self._bundles[key] = hit
-            if hit is not None:
-                self.stats.trace_store_hits += 1
-                return hit
-        self.stats.synthesis_count += 1
-        stream, fine = synthesize()
-        bundle = TraceBundle(stream=list(stream), fine=list(fine))
-        if key is not None:
-            store = self._trace_store()
-            if store is not None:
-                mapped = self._save_bundle(store, key, bundle)
-                if mapped is not None:
-                    bundle = mapped
-            self._bundles[key] = bundle
-        return bundle
-
-    def _resolve_syntheses(self, pending: list[tuple[int, "ReplayRequest"]],
-                           executor) -> dict[int, TraceBundle]:
-        """Resolve every pending request's synthesis to a trace bundle.
-
-        Answers what it can from the bundle caches, then schedules the
-        *distinct* misses as ``"synth"`` work units — across the replay
-        executor's pool when the trace tier is active and the tasks are
-        picklable (workers persist the bundle; the requester maps it) —
-        and synthesizes inline otherwise.  Accounting is as-if-
-        sequential: one ``synthesis_count`` per distinct miss, one
-        ``trace_store_hits`` per request that would have found the store
-        warm, independent of the job count.
-        """
-        out: dict[int, TraceBundle] = {}
-        store = self._trace_store()
-        waiting: dict[str, list[int]] = {}
-        tasks: dict[str, Callable] = {}
-        for i, req in pending:
-            key = req.trace_key if self.share else None
-            if key is None:
-                out[i] = self._synthesize_once(None, req.synthesize)
-                continue
-            hit = self._bundles.get(key)
-            if hit is None and store is not None:
-                hit = store.load_bundle(key)
                 if hit is not None:
-                    self._bundles[key] = hit
-            if hit is not None:
-                self.stats.trace_store_hits += 1
-                out[i] = hit
-                continue
-            if key in waiting:
-                # an earlier batch entry synthesizes this bundle;
-                # sequential execution would find the store warm here
-                self.stats.trace_store_hits += 1
-                waiting[key].append(i)
-                continue
+                    self.stats.trace_store_hits += 1
+                    out[i] = hit
+                    continue
+                if key in waiting:
+                    # an earlier batch entry synthesizes this bundle;
+                    # sequential execution would find the store warm here
+                    self.stats.trace_store_hits += 1
+                    waiting[key].append(i)
+                    continue
+            else:
+                key = i  # nothing is shared, not even within the batch
             waiting[key] = [i]
-            tasks[key] = req.synthesize
-        if not tasks:
-            return out
+            tasks[key] = synthesize
         self.stats.synthesis_count += len(tasks)
-        keys = list(tasks)
-        done: dict[str, TraceBundle | None] = {}
-        schedulable = (store is not None
-                       and all(getattr(tasks[k], "picklable", False)
-                               for k in keys))
-        if schedulable:
-            units = [("synth", k, tasks[k], str(store.root), store.thp)
-                     for k in keys]
-            with store.pinned(*(f"syn-{k}" for k in keys)):
+        done: dict[object, TraceBundle | None] = {}
+        if (store is not None and len(tasks) > 1
+                and all(getattr(t, "picklable", False) for t in tasks.values())
+                and self._executor_for_batch().jobs > 1):
+            units = [("synth", k, t, str(store.root), store.thp)
+                     for k, t in tasks.items()]
+            with store.pinned(*(f"syn-{k}" for k in tasks)):
                 try:
-                    executor.run_units(units)
+                    self._executor_for_batch().run_units(units)
                 except Exception:  # noqa: BLE001 — synthesis must not be lost
                     self._trace_off = True
                 else:
-                    for k in keys:
-                        done[k] = store.load_bundle(k)
-        for k in keys:
+                    done = {k: store.load_bundle(k) for k in tasks}
+        for k, synthesize in tasks.items():
             bundle = done.get(k)
             if bundle is None:
-                stream, fine = tasks[k]()
+                stream, fine = synthesize()
                 bundle = TraceBundle(stream=list(stream), fine=list(fine))
                 store = self._trace_store()
                 if store is not None:
-                    mapped = self._save_bundle(store, k, bundle)
-                    if mapped is not None:
-                        bundle = mapped
-            self._bundles[k] = bundle
+                    bundle = self._save_bundle(store, k, bundle) or bundle
+            if self.share:
+                self._bundles[k] = bundle
             for i in waiting[k]:
                 out[i] = bundle
-        return out
+        return out  # type: ignore[return-value]
 
     # --- replay ----------------------------------------------------------
     def replay(self, *, config_key: str, geometry: TLBGeometry, engine: str,
                synthesize: Callable[[], tuple[list[PageTrace],
                                               list[tuple[int, PageTrace,
                                                          float]]]],
-               trace_key: str | None = None) -> ReplayResult:
+               trace_key: str) -> ReplayResult:
         """Replay one configuration, reusing every cached piece.
 
         ``synthesize`` is only called on a config-level miss *and* a
@@ -460,8 +470,8 @@ class ReplaySession:
             config_key=config_key, geometry=geometry, engine=engine,
             synthesize=synthesize, trace_key=trace_key)])[0]
 
-    def replay_batch(self, requests: list[ReplayRequest], *,
-                     executor=None) -> list[ReplayResult]:
+    def replay_batch(self, requests: list[ReplayRequest],
+                     ) -> list[ReplayResult]:
         """Thread-safe entry point for :meth:`_replay_batch`.
 
         One re-entrant lock serialises the session's cache mutations
@@ -472,10 +482,57 @@ class ReplaySession:
         singleflight, and below it, in the replay executor.
         """
         with self._lock:
-            return self._replay_batch(requests, executor=executor)
+            return self._replay_batch(requests)
 
-    def _replay_batch(self, requests: list[ReplayRequest], *,
-                      executor=None) -> list[ReplayResult]:
+    def _lookup_configs(self, keys: list[str],
+                        ) -> tuple[list[ReplayResult | None], list[int],
+                                   list[tuple[int, int]]]:
+        """Answer what the config caches can, memory first, then disk.
+
+        Returns the results so far, the indices still to replay, and
+        ``(index, index of the earlier pending entry)`` aliases for keys
+        repeated within the call — sequential replay would memory-hit
+        those, so they count as memory hits and share the answer.
+        """
+        results: list[ReplayResult | None] = [None] * len(keys)
+        pending: list[int] = []
+        first: dict[str, int] = {}
+        aliases: list[tuple[int, int]] = []
+        for i, key in enumerate(keys):
+            self.stats.configs += 1
+            if self.share:
+                hit = self._configs.get(key)
+                if hit is not None:
+                    self.stats.memory_hits += 1
+                    results[i] = hit
+                    continue
+                if key in first:
+                    self.stats.memory_hits += 1
+                    aliases.append((i, first[key]))
+                    continue
+                stored = self._load(f"cfg-{key}")
+                if self._valid_config(stored):
+                    result = ReplayResult(
+                        stream=list(stored["stream"]),
+                        fine=[(int(j), s, float(sc))
+                              for j, s, sc in stored["fine"]])
+                    self._configs[key] = result
+                    self.stats.disk_hits += 1
+                    results[i] = result
+                    continue
+                first[key] = i
+            pending.append(i)
+        return results, pending, aliases
+
+    def _remember(self, key: str, result: ReplayResult) -> None:
+        """Keep one fresh config result in memory and on disk."""
+        if self.share:
+            self._configs[key] = result
+            self._save(f"cfg-{key}",
+                       {"stream": result.stream, "fine": result.fine})
+
+    def _replay_batch(self, requests: list[ReplayRequest],
+                      ) -> list[ReplayResult]:
         """Replay many configurations, scheduling distinct work units.
 
         The batch first answers every request it can from the config
@@ -490,51 +547,23 @@ class ReplaySession:
         step-for-step the sequence of :meth:`replay` calls it replaces —
         counters included.
 
-        ``executor`` defaults to the session's own lazily-created
+        The executor is the session's own lazily-created
         :class:`~repro.perfmodel.parallel.ReplayExecutor`, whose job
         count honours ``REPRO_REPLAY_JOBS`` / the ``replay_jobs``
         runtime parameter (serial unless asked otherwise).
         """
-        results: list[ReplayResult | None] = [None] * len(requests)
-        pending: list[tuple[int, ReplayRequest]] = []
-        pending_by_key: dict[str, int] = {}
-        aliases: list[tuple[int, int]] = []  # (index, index of original)
-        for i, req in enumerate(requests):
-            self.stats.configs += 1
-            if self.share:
-                hit = self._configs.get(req.config_key)
-                if hit is not None:
-                    self.stats.memory_hits += 1
-                    results[i] = hit
-                    continue
-                if req.config_key in pending_by_key:
-                    # an earlier batch entry already computes this config;
-                    # sequential replay would memory-hit here
-                    self.stats.memory_hits += 1
-                    aliases.append((i, pending_by_key[req.config_key]))
-                    continue
-                stored = self._load(f"cfg-{req.config_key}")
-                if self._valid_config(stored):
-                    result = ReplayResult(
-                        stream=list(stored["stream"]),
-                        fine=[(int(j), s, float(sc))
-                              for j, s, sc in stored["fine"]])
-                    self._configs[req.config_key] = result
-                    self.stats.disk_hits += 1
-                    results[i] = result
-                    continue
-                pending_by_key[req.config_key] = i
-            pending.append((i, req))
+        results, pending, aliases = self._lookup_configs(
+            [req.config_key for req in requests])
         if not pending:
             return results  # type: ignore[return-value]
-
-        if executor is None:
-            executor = self._executor_for_batch()
+        executor = self._executor_for_batch()
 
         # --- resolve synthesis through the trace tier: bundle-cache
         # hits skip it, distinct misses run (possibly across the pool)
         # and persist their bundles for the next request and process
-        bundles = self._resolve_syntheses(pending, executor)
+        bundles = self._resolve_syntheses(
+            [(requests[i].trace_key, requests[i].synthesize)
+             for i in pending])
 
         # --- plan: dedupe distinct work units across the batch.  Unit
         # keys are content digests, so the accounting below is exactly
@@ -549,26 +578,18 @@ class ReplaySession:
         stream_units: dict[object, tuple] = {}   # ukey -> work unit
         fine_units: dict[object, tuple] = {}
         plans = []
-        for i, req in pending:
-            bundle = bundles[i]
+        for i, bundle in zip(pending, bundles):
+            req = requests[i]
             stream_traces, fine_traces = bundle.stream, bundle.fine
             geo = geometry_digest(req.geometry)
             computed = False
 
             # stream pass: one shared TLB for the whole sequence -> the
             # sequence deduplicates only as a whole
-            bundle_hash = hashlib.sha256()
-            bundle_hash.update(
-                f"stream/{req.engine}/{geo}/{len(stream_traces)}".encode())
-            for t in stream_traces:
-                bundle_hash.update(trace_digest(t).encode())
-            bundle_key = _hexdigest(bundle_hash)
-            stream_cached = self._cached_traces(bundle_key)
+            bundle_key = _stream_key(req.engine, geo, stream_traces)
+            stream_cached = self._traces.get(bundle_key)
             stream_ukey: object = bundle_key if self.share else (bundle_key, i)
-            if (stream_cached is not None
-                    and len(stream_cached) == len(stream_traces)):
-                self.stats.trace_hits += 1
-            elif self.share and stream_ukey in stream_units:
+            if stream_cached is not None or stream_ukey in stream_units:
                 self.stats.trace_hits += 1
             else:
                 stream_units[stream_ukey] = (
@@ -585,17 +606,16 @@ class ReplaySession:
                 if d in fine_sources:
                     self.stats.fine_deduped += 1
                     continue
-                fine_ukey: object = (req.engine, geo, d)
-                cached = self._cached_traces(f"fine-{req.engine}-{geo}-{d}")
-                if cached is not None and len(cached) == 1:
+                fine_ukey: object = ((req.engine, geo, d) if self.share
+                                     else (req.engine, geo, d, i))
+                cached = self._traces.get(f"fine-{req.engine}-{geo}-{d}")
+                if cached is not None:
                     fine_sources[d] = ("cached", cached[0])
                     self.stats.trace_hits += 1
-                elif self.share and fine_ukey in fine_units:
+                elif fine_ukey in fine_units:
                     fine_sources[d] = ("unit", fine_ukey)
                     self.stats.trace_hits += 1
                 else:
-                    if not self.share:
-                        fine_ukey = (req.engine, geo, d, i)
                     fine_units[fine_ukey] = (
                         "fine", req.engine, req.geometry,
                         bundle.fine_payload(pos) if by_ref
@@ -607,9 +627,7 @@ class ReplaySession:
             plans.append({
                 "index": i, "request": req, "geo": geo,
                 "bundle_key": bundle_key, "stream_ukey": stream_ukey,
-                "stream_cached": stream_cached
-                if (stream_cached is not None
-                    and len(stream_cached) == len(stream_traces)) else None,
+                "stream_cached": stream_cached,
                 "digests": digests, "fine_traces": fine_traces,
                 "fine_sources": fine_sources,
             })
@@ -621,7 +639,7 @@ class ReplaySession:
         units = [stream_units[k] for k in stream_units] + \
                 [fine_units[k] for k in fine_units]
         tstore = self._trace_store()
-        used_keys = ({b.key for b in bundles.values() if b.key}
+        used_keys = ({b.key for b in bundles if b.key}
                      if tstore is not None else set())
         guard = (tstore.pinned(*(f"syn-{k}" for k in sorted(used_keys)))
                  if used_keys else nullcontext())
@@ -631,7 +649,7 @@ class ReplaySession:
         if tstore is not None and tstore.max_bytes is not None:
             tstore.enforce_budget()
 
-        # --- merge by digest, persist, assemble in request order
+        # --- merge by digest, remember, assemble in request order
         for plan in plans:
             req = plan["request"]
             if plan["stream_cached"] is not None:
@@ -660,14 +678,10 @@ class ReplaySession:
                             fine_units.pop(payload, None)
                 fine.append((j, resolved[d], scale))
             result = ReplayResult(stream=stream_stats, fine=fine)
-            if self.share:
-                self._configs[req.config_key] = result
-                self._save(f"cfg-{req.config_key}",
-                           {"stream": result.stream, "fine": result.fine})
+            self._remember(req.config_key, result)
             results[plan["index"]] = result
         for i, j in aliases:
-            results[i] = self._configs.get(requests[j].config_key,
-                                           results[j])
+            results[i] = results[j]
         return results  # type: ignore[return-value]
 
     def replay_sweep(self, *, config_keys: list[str],
@@ -675,7 +689,7 @@ class ReplaySession:
                      synthesize: Callable[[], tuple[list[PageTrace],
                                                     list[tuple[int, PageTrace,
                                                                float]]]],
-                     trace_key: str | None = None) -> list[ReplayResult]:
+                     trace_key: str) -> list[ReplayResult]:
         """Thread-safe entry point for :meth:`_replay_sweep` (see
         :meth:`replay_batch` for the locking contract)."""
         with self._lock:
@@ -689,7 +703,7 @@ class ReplaySession:
                       synthesize: Callable[[], tuple[list[PageTrace],
                                                      list[tuple[int, PageTrace,
                                                                 float]]]],
-                      trace_key: str | None = None) -> list[ReplayResult]:
+                      trace_key: str) -> list[ReplayResult]:
         """Replay one trace set under many TLB geometries in one pass.
 
         The geometry-sweep analogue of :meth:`replay_batch`: synthesis
@@ -705,31 +719,11 @@ class ReplaySession:
         if len(config_keys) != len(geometries):
             raise ConfigurationError(
                 "replay_sweep needs one config key per geometry")
-        results: list[ReplayResult | None] = [None] * len(config_keys)
-        pending: list[int] = []
-        for i, key in enumerate(config_keys):
-            self.stats.configs += 1
-            if self.share:
-                hit = self._configs.get(key)
-                if hit is not None:
-                    self.stats.memory_hits += 1
-                    results[i] = hit
-                    continue
-                stored = self._load(f"cfg-{key}")
-                if self._valid_config(stored):
-                    result = ReplayResult(
-                        stream=list(stored["stream"]),
-                        fine=[(int(j), s, float(sc))
-                              for j, s, sc in stored["fine"]])
-                    self._configs[key] = result
-                    self.stats.disk_hits += 1
-                    results[i] = result
-                    continue
-            pending.append(i)
+        results, pending, aliases = self._lookup_configs(config_keys)
         if not pending:
             return results  # type: ignore[return-value]
 
-        bundle = self._synthesize_once(trace_key, synthesize)
+        [bundle] = self._resolve_syntheses([(trace_key, synthesize)])
         stream_traces, fine_traces = bundle.stream, bundle.fine
         fine_digests = [trace_digest(t) for _, t, _ in fine_traces]
         trace_by_digest: dict[str, PageTrace] = {}
@@ -740,19 +734,12 @@ class ReplaySession:
         stream_need: list[int] = []
         for i in pending:
             geo = geometry_digest(geometries[i])
-            bundle_hash = hashlib.sha256()
-            bundle_hash.update(
-                f"stream/{engine}/{geo}/{len(stream_traces)}".encode())
-            for t in stream_traces:
-                bundle_hash.update(trace_digest(t).encode())
-            bundle_key = _hexdigest(bundle_hash)
+            bundle_key = _stream_key(engine, geo, stream_traces)
             computed = False
-            stream_stats = self._cached_traces(bundle_key)
-            if (stream_stats is not None
-                    and len(stream_stats) == len(stream_traces)):
+            stream_stats = self._traces.get(bundle_key)
+            if stream_stats is not None:
                 self.stats.trace_hits += 1
             else:
-                stream_stats = None
                 stream_need.append(i)
                 computed = True
             by_digest: dict[str, TLBStats] = {}
@@ -761,8 +748,8 @@ class ReplaySession:
                 if d in by_digest or d in missing:
                     self.stats.fine_deduped += 1
                     continue
-                cached = self._cached_traces(f"fine-{engine}-{geo}-{d}")
-                if cached is not None and len(cached) == 1:
+                cached = self._traces.get(f"fine-{engine}-{geo}-{d}")
+                if cached is not None:
                     by_digest[d] = cached[0]
                     self.stats.trace_hits += 1
                 else:
@@ -776,13 +763,8 @@ class ReplaySession:
                         "missing": missing}
 
         if stream_need:
-            geos = [geometries[i] for i in stream_need]
-            if engine == "fast":
-                rows = run_steady_segments_multi(
-                    geos, stream_traces, streams=[0] * len(stream_traces))
-            else:
-                rows = [self._replay_stream(engine, g, stream_traces)
-                        for g in geos]
+            rows = replay_kernel(engine, [geometries[i] for i in stream_need],
+                                 stream_traces, [0] * len(stream_traces))
             for i, row in zip(stream_need, rows):
                 plans[i]["stream"] = row
                 self._store_traces(plans[i]["bundle_key"], row)
@@ -795,13 +777,8 @@ class ReplaySession:
                 groups.setdefault(tuple(plans[i]["missing"]), []).append(i)
         for missing, idxs in groups.items():
             traces = [trace_by_digest[d] for d in missing]
-            if engine == "fast" and len(idxs) > 1:
-                rows = run_steady_segments_multi(
-                    [geometries[i] for i in idxs], traces,
-                    streams=list(range(len(traces))))
-            else:
-                rows = [self._replay_fine(engine, geometries[i], traces)
-                        for i in idxs]
+            rows = replay_kernel(engine, [geometries[i] for i in idxs],
+                                 traces, list(range(len(traces))))
             for i, row in zip(idxs, rows):
                 for d, stats in zip(missing, row):
                     plans[i]["by_digest"][d] = stats
@@ -813,11 +790,10 @@ class ReplaySession:
             fine = [(j, plan["by_digest"][d], scale)
                     for d, (j, _, scale) in zip(fine_digests, fine_traces)]
             result = ReplayResult(stream=plan["stream"], fine=fine)
-            if self.share:
-                self._configs[config_keys[i]] = result
-                self._save(f"cfg-{config_keys[i]}",
-                           {"stream": result.stream, "fine": result.fine})
+            self._remember(config_keys[i], result)
             results[i] = result
+        for i, j in aliases:
+            results[i] = results[j]
         return results  # type: ignore[return-value]
 
     def _executor_for_batch(self):
@@ -847,24 +823,12 @@ class ReplaySession:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _cached_traces(self, key: str) -> list[TLBStats] | None:
-        if not self.share:
-            return None
-        hit = self._traces.get(key)
-        if hit is not None:
-            return hit
-        stored = self._load(f"trace-{key}")
-        if (isinstance(stored, list)
-                and all(isinstance(s, TLBStats) for s in stored)):
-            self._traces[key] = stored
-            return stored
-        return None
-
     def _store_traces(self, key: str, stats: list[TLBStats]) -> None:
-        if not self.share:
-            return
-        self._traces[key] = stats
-        self._save(f"trace-{key}", stats)
+        """Remember trace-level results for later configs of this
+        session; they are never persisted (the config entry they feed
+        answers every later reader)."""
+        if self.share:
+            self._traces[key] = stats
 
     @staticmethod
     def _valid_config(stored: Any) -> bool:
@@ -874,31 +838,6 @@ class ReplaySession:
                 and isinstance(stored.get("fine"), list)
                 and all(len(e) == 3 and isinstance(e[1], TLBStats)
                         for e in stored["fine"]))
-
-    # --- the two replay kernels (bit-identical to the per-config paths) --
-    @staticmethod
-    def _replay_stream(engine: str, geometry: TLBGeometry,
-                       traces: list[PageTrace]) -> list[TLBStats]:
-        if engine == "fast":
-            return run_steady_segments(geometry, traces,
-                                       streams=[0] * len(traces))
-        sim = TLBSimulator(geometry)
-        for t in traces:
-            sim.run(t)  # warm pass
-        return [sim.run(t) for t in traces]
-
-    @staticmethod
-    def _replay_fine(engine: str, geometry: TLBGeometry,
-                     traces: list[PageTrace]) -> list[TLBStats]:
-        if engine == "fast":
-            return run_steady_segments(geometry, traces,
-                                       streams=list(range(len(traces))))
-        out = []
-        for trace in traces:
-            sim = TLBSimulator(geometry)
-            sim.run(trace)  # warm
-            out.append(sim.run(trace))
-        return out
 
     # --- deterministic experiment memoisation ----------------------------
     def memo(self, kind: str, key_parts: tuple, builder: Callable[[], Any],
@@ -999,5 +938,5 @@ def session_scope(session: ReplaySession, *,
 
 __all__ = ["ReplaySession", "ReplayResult", "ReplayRequest", "SessionStats",
            "default_session", "set_default_session", "session_scope",
-           "trace_digest", "geometry_digest", "TRACE_SCHEMA",
+           "trace_digest", "geometry_digest", "replay_kernel", "TRACE_SCHEMA",
            "resolve_cache_dir", "resolve_cache_bytes"]

@@ -1,22 +1,20 @@
 """The sharded, size-bounded replay store behind :class:`ReplaySession`.
 
-PR 5 persisted replay results as a flat directory of content-addressed
-pickles (``$XDG_CACHE_HOME/repro/replays/*.pkl``).  That layout is
-correct but does not serve a long-running service well: a busy cache
-puts thousands of entries in one directory, and nothing ever bounds its
-size.  :class:`ReplayStore` keeps the artifact-store guarantees (atomic
-writes, SHA-256 sidecars, versioned envelopes, quarantine on
-corruption) and adds:
+:class:`ReplayStore` persists content-addressed pickles — a session's
+config-level results (``cfg-*``) and memoised experiment results
+(``memo-*``) — with the artifact-store guarantees (atomic writes,
+SHA-256 sidecars, versioned envelopes, quarantine on corruption), plus:
 
 * **2-hex-prefix sharding** — an entry named ``cfg-3fa2…`` lives at
-  ``<root>/3f/cfg-3fa2….pkl``.  The shard is the first two characters
-  of the trailing content digest in the entry name (every session key
+  ``<root>/3f/cfg-3fa2….pkl``, so a busy cache never puts thousands of
+  entries in one directory.  The shard is the first two characters of
+  the trailing content digest in the entry name (every session key
   ends in one), so a digest in a log locates its file; names without a
-  digest shard by the SHA-256 of the whole name.  A flat pre-shard
-  layout is migrated transparently — entries are *moved* with
-  ``os.replace``, never rewritten, so every byte (and every sidecar)
-  survives bit-identically, and a reader racing the migration finds the
-  entry at one path or the other, never at neither.
+  digest shard by the SHA-256 of the whole name.  The trace tier's
+  ``syn-*`` bundles use the same layout.  An entry left at the store
+  root by an older, flat layout is never read: its key misses and is
+  rebuilt into its shard, and a byte budget still counts and evicts the
+  straggler (eviction scans the whole tree).
 
 * **Size/LRU eviction** — an optional byte budget
   (``REPRO_REPLAY_CACHE_BYTES`` or ``ReplayStore(max_bytes=...)``).
@@ -152,8 +150,6 @@ class StoreStats:
     loads: int = 0
     #: payloads written (or rewritten) to disk
     saves: int = 0
-    #: flat-layout entries moved into shards by the transparent migration
-    migrated: int = 0
     #: entries deleted by LRU eviction
     evictions: int = 0
     #: bytes reclaimed by LRU eviction (payloads + sidecars)
@@ -206,11 +202,8 @@ class ReplayStore:
         (``<root>/<xx>/<name><suffix>``)."""
         return self.root / shard_for(name) / f"{name}{self.suffix}"
 
-    def _flat_path(self, name: str) -> Path:
-        return self.root / f"{name}{self.suffix}"
-
     def ensure(self) -> None:
-        """Create the root and migrate any flat pre-shard layout, once.
+        """Create the root, once.
 
         Raises ``OSError`` when the root cannot be created — the session
         catches it and degrades to memory-only.
@@ -219,58 +212,19 @@ class ReplayStore:
             if self._ready:
                 return
             self.root.mkdir(parents=True, exist_ok=True)
-            self._migrate_flat()
             self._ready = True
-
-    def _migrate_flat(self) -> None:
-        """Move flat ``*.pkl`` entries (and sidecars) into their shards.
-
-        ``os.replace`` moves the files without rewriting a byte, so the
-        migrated entry is bit-identical and its sidecar still matches
-        (the checksum line names the file, which keeps its name).  A
-        racing second migrator simply finds fewer files to move.
-        """
-        for path in sorted(self.root.glob(f"*{self.suffix}")):
-            name = path.name[:-len(self.suffix)]
-            dest = self.path_for(name)
-            try:
-                dest.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(path, dest)
-            except OSError:
-                continue  # racing migrator got it first, or unwritable
-            sidecar = artifacts.checksum_path(path)
-            try:
-                os.replace(sidecar, artifacts.checksum_path(dest))
-            except OSError:
-                sidecar.unlink(missing_ok=True)
-            self.stats.migrated += 1
 
     # --- load/save --------------------------------------------------------
     def load(self, name: str, *, version: int | None = None) -> Any | None:
         """Fetch one payload; corruption quarantines and returns ``None``.
 
         A hit refreshes the entry's mtime — the recency signal LRU
-        eviction orders by.  The flat (pre-shard) path is checked as a
-        fallback so a writer running older code cannot hide entries from
-        this one; a flat hit is migrated into its shard on the way out.
+        eviction orders by.
         """
         self.ensure()
         path = self.path_for(name)
         if not path.exists():
-            flat = self._flat_path(name)
-            if not flat.exists():
-                return None
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(flat, path)
-                os.replace(artifacts.checksum_path(flat),
-                           artifacts.checksum_path(path))
-            except OSError:
-                path = flat if flat.exists() else path
-                if not path.exists():
-                    return None
-            else:
-                self.stats.migrated += 1
+            return None
         try:
             payload = artifacts.load_pickle(path, version=version)
         except ArtifactError:
@@ -332,8 +286,8 @@ class ReplayStore:
 
     # --- size & eviction --------------------------------------------------
     def _entries(self) -> list[_Entry]:
-        """Every payload in the store (shards and any flat stragglers),
-        oldest first, with sidecar sizes folded in."""
+        """Every payload in the store (shards and any stragglers at the
+        root), oldest first, with sidecar sizes folded in."""
         entries: list[_Entry] = []
         if not self.root.is_dir():
             return entries
@@ -413,7 +367,6 @@ class ReplayStore:
                            if e.path.parent != self.root}),
             "loads": self.stats.loads,
             "saves": self.stats.saves,
-            "migrated": self.stats.migrated,
             "evictions": self.stats.evictions,
             "evicted_bytes": self.stats.evicted_bytes,
             "corrupt": self.stats.corrupt,

@@ -210,9 +210,9 @@ class TraceStoreStats(StoreStats):
 class TraceStore(ReplayStore):
     """Sharded, LRU-bounded store of page-aligned trace-bundle binaries.
 
-    Inherits the replay store's sharding, pinning, eviction, and
-    migration machinery (``suffix`` selects the payload kind); adds the
-    binary bundle codec and the zero-copy mmap load path.
+    Inherits the replay store's sharding, pinning, and eviction
+    machinery (``suffix`` selects the payload kind); adds the binary
+    bundle codec and the zero-copy mmap load path.
     """
 
     stats: TraceStoreStats = field(default_factory=TraceStoreStats)

@@ -322,7 +322,6 @@ class ExperimentService:
             m.set("serve_store_evictions_total", store.stats.evictions)
             m.set("serve_store_evicted_bytes_total",
                   store.stats.evicted_bytes)
-            m.set("serve_store_migrated_total", store.stats.migrated)
             m.set("serve_store_corrupt_total", store.stats.corrupt)
         tstore = self.session.trace_store
         if tstore is not None:

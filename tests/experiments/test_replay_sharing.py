@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,24 @@ def test_warm_store_replays_nothing(serial_report):
     assert warm.replays == 0
     assert warm.synthesis_count == 0
     assert warm.disk_hits == 15
+
+
+def test_cold_store_holds_only_what_is_read_back(serial_report):
+    """A store-backed serial cold report persists exactly what a warm
+    session loads back — the 15 replayed configurations and 3 memos —
+    and keeps trace-level replay stats in memory."""
+    root = serial_report["cold"].session.store.root
+    assert list(root.glob("**/trace-*.pkl")) == []
+    kinds = Counter(p.name.split("-")[0] for p in root.glob("*/*.pkl"))
+    assert kinds == {"cfg": 15, "memo": 3}
+
+
+def test_serial_syntheses_save_through_the_session(serial_report):
+    """Every bundle a serial cold report synthesises is saved through
+    the session's own trace store."""
+    cold = serial_report["cold"]
+    saves = cold.session.trace_store.stats.saves
+    assert saves == cold.stats.synthesis_count == 8
 
 
 def test_warm_store_speedup_floor(serial_report):

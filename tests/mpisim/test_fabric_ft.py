@@ -105,6 +105,21 @@ class TestCoordinatedRecovery:
         assert report.checkpoints  # cadence checkpoints were written
         assert_fabrics_identical(fab, ref)
 
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_replayed_steps_read_off_the_run(self, k):
+        """A rank killed k steps past the last coordinated snapshot
+        rolls back exactly those k completed steps, and the report
+        counts them from the restore it did."""
+        fab = Fabric(sedov_builder(), 2)
+        fab.attach_worklogs(helmholtz_eos=False)
+        chaos = RankChaos(faults=("kill_rank",), start=5 + k, every=100,
+                          target_rank=1)
+        report = fab.run_supervised(nend=8, checkpoint_interval=4,
+                                    rank_chaos=chaos)
+        assert report.rank_restarts == 1
+        assert report.replayed_steps == k
+        assert report.steps_completed == 8
+
     def test_stall_timeout_recovery_bit_identical(self):
         """A stalled rank trips the barrier deadline; the report names
         the missing rank with stacks, and recovery replays exactly."""

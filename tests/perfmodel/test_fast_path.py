@@ -2,10 +2,9 @@
 
 Three layers of the equivalence contract:
 
-* the batch TLB kernels (``lru_miss_mask``, ``run_segments``,
-  ``run_steady_segments``) against the per-access ``TLBSimulator`` on
-  randomized traces, across geometries and with every bucketing
-  strategy forced;
+* the batch TLB kernels (``lru_miss_mask``, ``run_steady_segments``)
+  against the per-access ``TLBSimulator`` on randomized traces, across
+  geometries and with every bucketing strategy forced;
 * ``FastTraceBuilder`` against ``TraceBuilder``, element for element,
   for every unit kind;
 * whole-pipeline replays under both engines, asserting bit-identical
@@ -21,8 +20,7 @@ from repro.core import unit_registry
 from repro.driver.config import RuntimeParameters
 from repro.driver.simulation import Simulation
 from repro.hw.a64fx import A64FX, TLBGeometry, TLBLevelSpec
-from repro.hw.tlb import (TLBSimulator, lru_miss_mask, run_segments,
-                          run_steady_segments)
+from repro.hw.tlb import TLBSimulator, lru_miss_mask, run_steady_segments
 from repro.hw.trace import PageTrace
 from repro.mesh.grid import Grid, MeshSpec
 from repro.mesh.tree import AMRTree
@@ -72,6 +70,10 @@ def stats_tuple(s):
 class TestBatchKernelsVsOracle:
     @pytest.mark.parametrize("trial", range(24))
     def test_run_segments_matches_scalar(self, trial):
+        """Cold segments replayed back to back per stream through the
+        per-level kernel — ``lru_miss_mask`` on the L1, then on the
+        L1-miss substream for the L2 — miss exactly where one shared
+        cold ``TLBSimulator`` per stream does, segment for segment."""
         rng = np.random.default_rng(100 + trial)
         geo = GEOMETRIES[trial % len(GEOMETRIES)]
         n_streams = int(rng.integers(1, 4))
@@ -83,12 +85,24 @@ class TestBatchKernelsVsOracle:
         for i, group in enumerate(groups):
             traces += group
             streams += [i] * len(group)
-        got = run_segments(geo, traces, streams=streams)
+        lengths = [t.n_events for t in traces]
+        seg = np.repeat(np.arange(len(traces)), lengths)
+        tags = np.repeat(np.asarray(streams, dtype=np.int64), lengths)
+        pages = np.concatenate([t.page for t in traces])
+        vpn = pages // np.concatenate([t.size for t in traces])
+        l1 = lru_miss_mask(pages, vpn, geo.l1.n_sets, geo.l1.assoc, tags)
+        pos = np.flatnonzero(l1)
+        l2 = lru_miss_mask(pages[pos], vpn[pos], geo.l2.n_sets,
+                           geo.l2.assoc, tags[pos])
+        l1_counts = np.bincount(seg[pos], minlength=len(traces))
+        l2_counts = np.bincount(seg[pos[l2]], minlength=len(traces))
         k = 0
         for group in groups:
             sim = TLBSimulator(geo)  # segments of one stream share state
             for trace in group:
-                assert stats_tuple(got[k]) == stats_tuple(sim.run(trace))
+                ref = sim.run(trace)
+                assert (int(l1_counts[k]), int(l2_counts[k])) == (
+                    ref.l1_misses, ref.l2_misses)
                 k += 1
 
     @pytest.mark.parametrize("trial", range(24))
@@ -133,19 +147,22 @@ class TestBatchKernelsVsOracle:
             sizes = np.repeat(trace.size, trace.weight)
             miss = lru_miss_mask(pages, pages // sizes,
                                  geo.l1.n_sets, geo.l1.assoc)
-            ref = TLBSimulator(geo).run(trace)
+            sim = TLBSimulator(geo)
+            ref = sim.run(trace)
             assert int(miss.sum()) == ref.l1_misses
-            # and through the generic two-level path
-            got = run_segments(geo, [trace])[0]
-            assert stats_tuple(got) == stats_tuple(ref)
+            # and through the two-level steady-state path, against the
+            # now warmed simulator
+            got = run_steady_segments(geo, [trace])[0]
+            assert stats_tuple(got) == stats_tuple(sim.run(trace))
 
     def test_single_access_and_empty(self):
         geo = GEOMETRIES[0]
         one = PageTrace.from_accesses(np.array([HUGE], dtype=np.int64),
                                       np.array([BASE], dtype=np.int64))
-        got = run_segments(geo, [one])[0]
-        assert stats_tuple(got) == (1, 1, 1)
-        assert run_segments(geo, []) == []
+        sim = TLBSimulator(geo)
+        assert stats_tuple(sim.run(one)) == (1, 1, 1)
+        got = run_steady_segments(geo, [one])[0]
+        assert stats_tuple(got) == stats_tuple(sim.run(one)) == (1, 0, 0)
         assert run_steady_segments(geo, []) == []
 
 

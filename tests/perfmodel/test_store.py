@@ -1,16 +1,16 @@
 """The sharded, size-bounded replay store and its cache-dir resolver.
 
 Contracts from ``docs/performance_model.md`` ("Cache & concurrency
-invariants") and ``docs/serving.md``: sharded layout with transparent
-bit-identical flat migration, LRU eviction that honours pins and a
-byte budget under racing writers, and the single ``off|auto|<dir>`` /
-byte-count resolver that raises ``ConfigurationError`` on malformed
-values instead of silently changing cache behaviour.
+invariants") and ``docs/serving.md``: one sharded layout (an entry
+left flat at the root is a miss that is rebuilt, and still counts
+against the budget), LRU eviction that honours pins and a byte budget
+under racing writers, and the single ``off|auto|<dir>`` / byte-count
+resolver that raises ``ConfigurationError`` on malformed values instead
+of silently changing cache behaviour.
 """
 
 import os
 import threading
-from pathlib import Path
 
 import pytest
 
@@ -98,41 +98,17 @@ class TestSharding:
         assert store.load(f"cfg-{DIGEST}") == {"x": 1}
 
 
-class TestFlatMigration:
-    def _flat_store(self, root: Path, n: int = 6) -> dict[str, bytes]:
-        """A PR 5-style flat layout; returns name -> payload bytes."""
-        root.mkdir(parents=True, exist_ok=True)
-        payloads = {}
-        for i in range(n):
-            name = f"cfg-{i:040x}"
-            artifacts.save_pickle(root / f"{name}.pkl", {"i": i}, version=7)
-            payloads[name] = (root / f"{name}.pkl").read_bytes()
-        return payloads
-
-    def test_ensure_migrates_bit_identically(self, tmp_path):
-        payloads = self._flat_store(tmp_path)
+class TestLoad:
+    def test_flat_entry_is_a_miss_and_rebuilt(self, tmp_path):
+        """An entry left at the root by a flat layout is never read:
+        its key misses, and the rebuilt entry lands in its shard."""
+        name = f"cfg-{DIGEST}"
+        artifacts.save_pickle(tmp_path / f"{name}.pkl", {"stale": True})
         store = ReplayStore(tmp_path)
-        store.ensure()
-        assert store.stats.migrated == len(payloads)
-        assert not list(tmp_path.glob("*.pkl"))  # nothing left flat
-        for name, raw in payloads.items():
-            sharded = store.path_for(name)
-            assert sharded.read_bytes() == raw  # moved, not rewritten
-            # sidecar still validates: the checksum names the file name,
-            # which the move preserved
-            assert artifacts.verify_checksum(sharded) is True
-            assert store.load(name, version=7) == {
-                "i": int(name.split("-")[1], 16)}
-
-    def test_flat_entry_migrates_on_load(self, tmp_path):
-        store = ReplayStore(tmp_path)
-        store.ensure()
-        # a writer running pre-shard code drops a flat entry afterwards
-        name = f"trace-{DIGEST}"
-        artifacts.save_pickle(tmp_path / f"{name}.pkl", [1, 2, 3])
-        assert store.load(name) == [1, 2, 3]
-        assert store.path_for(name).exists()
-        assert not (tmp_path / f"{name}.pkl").exists()
+        assert store.load(name) is None
+        store.save(name, {"fresh": True})
+        assert store.load(name) == {"fresh": True}
+        assert store.path_for(name).parent == tmp_path / DIGEST[:2]
 
     def test_corrupt_entry_quarantined(self, tmp_path):
         store = ReplayStore(tmp_path)
@@ -165,6 +141,19 @@ class TestEviction:
         assert store.path_for(names[-1]).exists()
         # the oldest is the one that went
         assert not store.path_for(names[0]).exists()
+
+    def test_budget_evicts_a_flat_straggler(self, tmp_path):
+        """A root-level leftover counts against the budget and, being
+        the oldest entry, is the first to go."""
+        straggler = tmp_path / f"cfg-{DIGEST}.pkl"
+        artifacts.save_pickle(straggler, os.urandom(30_000))
+        os.utime(straggler, (1_000, 1_000))
+        store = ReplayStore(tmp_path, max_bytes=100_000)
+        assert store.size_bytes() > 30_000
+        self._fill(store, 3, size=30_000)
+        assert not straggler.exists()
+        assert not artifacts.checksum_path(straggler).exists()
+        assert store.size_bytes() <= 100_000
 
     def test_low_water_hysteresis(self, tmp_path):
         store = ReplayStore(tmp_path, max_bytes=100_000)
